@@ -15,57 +15,109 @@ and a feasible assignment's energy equals that norm with zero penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .stack import DeviationMatrix, ShiftVector
+from .stack import DeviationMatrix, ShiftVector, rotations
 
-# sparse map entries smaller than this fraction of the largest coefficient
+# cross-disk couplings smaller than this fraction of the largest coefficient
 # are dropped; lossy only below numerical noise
 PRUNE_RELATIVE = 1e-12
 
 
+def same_disk(n_vars: int, n_segments: int) -> np.ndarray:
+    """mask[u, v] is True when variables u and v encode shifts of one disk."""
+    disk = np.arange(n_vars) // n_segments
+    return disk[:, None] == disk[None, :]
+
+
+class _PairView(Mapping):
+    """Read-only {(i, j): coefficient} view of a coupling matrix, i < j.
+
+    The keys, in row-major order as the export writes them, are the nonzero
+    pairs plus every within-disk pair, which the one-hot penalty keeps.
+    """
+
+    def __init__(self, coupling: np.ndarray, n_segments: int) -> None:
+        self._coupling = coupling
+        self._keys = np.triu((coupling != 0) | same_disk(len(coupling), n_segments), 1)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.nonzero(self._keys)
+
+    def __getitem__(self, key) -> float:
+        i, j = key
+        if not (0 <= i < len(self._keys) and 0 <= j < len(self._keys) and self._keys[i, j]):
+            raise KeyError(key)
+        return float(self._coupling[i, j])
+
+    def __iter__(self):
+        return zip(*(index.tolist() for index in self.pairs()))
+
+    def __len__(self) -> int:
+        return int(self._keys.sum())
+
+
+def _layout(gauge_fixed: bool, n_disks: int, n_segments: int) -> tuple[tuple[int, int], ...]:
+    return tuple((k, j) for k in range(int(gauge_fixed), n_disks) for j in range(n_segments))
+
+
 @dataclass(frozen=True, eq=False)
 class QuboModel:
-    """Upper-triangular sparse quadratic model plus variable bookkeeping.
+    """Quadratic model stored as one dense symmetric coupling matrix.
 
     Variable v encodes (disk k, shift j) with v = (k - k0) * n_segments + j,
-    where k0 is 1 for gauge-fixed models and 0 otherwise. That ordering is
-    part of the export format, so it stays stable.
+    where k0 is 1 for gauge-fixed models and 0 otherwise. That layout is
+    part of the export format, so var_map must list exactly it.
+
+    The constructor takes the strictly upper-triangular coefficients, as a
+    mapping {(i, j): coeff} with i < j or as an n_vars x n_vars array. They
+    are stored once, as the read-only symmetric float64 matrix ``coupling``
+    with a zero diagonal, and ``quadratic`` becomes a read-only view of it.
     """
 
     n_vars: int
     offset: float
     linear: np.ndarray
-    quadratic: dict[tuple[int, int], float]
+    quadratic: Mapping[tuple[int, int], float] | np.ndarray
     rho: float
     var_map: tuple[tuple[int, int], ...]
     gauge_fixed: bool
     n_disks: int
     n_segments: int
+    coupling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rho < 0:
-            raise InvalidInputError("rho must be >= 0")
-        lin = np.array(self.linear, dtype=np.float64).reshape(self.n_vars)
+        n, nd, ns = self.n_vars, self.n_disks, self.n_segments
+        # sizes first, so the layout is built only for a var_map that can match it
+        if not (nd >= 1 and ns >= 1 and (nd - int(self.gauge_fixed)) * ns == n == len(self.var_map)):
+            raise InvalidInputError(f"{n} variables do not fit {nd} disks x {ns} segments")
+        if tuple(self.var_map) != _layout(self.gauge_fixed, nd, ns):
+            raise InvalidInputError("var_map must follow the fixed (disk, shift) layout")
+        lin = np.array(self.linear, dtype=np.float64).reshape(n)
         lin.setflags(write=False)
         object.__setattr__(self, "linear", lin)
-        for i, j in self.quadratic:
-            if not (0 <= i < j < self.n_vars):
-                raise InvalidInputError(f"quadratic key ({i}, {j}) is not strictly upper-triangular")
-        object.__setattr__(self, "quadratic", MappingProxyType(dict(self.quadratic)))
-        if len(self.var_map) != self.n_vars:
-            raise InvalidInputError("var_map must assign every variable")
-
-    def index_of(self, disk: int, shift: int) -> int:
-        k0 = 1 if self.gauge_fixed else 0
-        if not (k0 <= disk < self.n_disks and 0 <= shift < self.n_segments):
-            raise InvalidInputError(f"no variable for disk {disk}, shift {shift}")
-        return (disk - k0) * self.n_segments + shift
+        if isinstance(self.quadratic, np.ndarray):
+            upper = self.quadratic
+            if upper.shape != (n, n) or np.tril(upper).any():
+                raise InvalidInputError("quadratic array must be strictly upper-triangular")
+        else:
+            i, j = np.fromiter(chain.from_iterable(self.quadratic), np.int64).reshape(-1, 2).T
+            if not np.all((0 <= i) & (i < j) & (j < n)):
+                raise InvalidInputError("quadratic keys must be variable pairs (i, j) with i < j")
+            upper = np.zeros((n, n))
+            upper[i, j] = np.fromiter(self.quadratic.values(), np.float64, len(i))
+        coupling = upper + upper.T
+        if not (self.rho >= 0 and all(np.isfinite(a).all() for a in (self.offset, self.rho, lin, coupling))):
+            raise InvalidInputError("rho must be >= 0 and every number finite")
+        coupling.setflags(write=False)
+        object.__setattr__(self, "coupling", coupling)
+        object.__setattr__(self, "quadratic", _PairView(coupling, ns))
 
     def encode(self, shifts) -> np.ndarray:
         if len(shifts) != self.n_disks:
@@ -96,60 +148,35 @@ def build_qubo(devs: DeviationMatrix, rho: float, gauge_fixed: bool = True) -> Q
     b = devs.devs
     n_disks, n_seg = b.shape
     k0 = 1 if gauge_fixed else 0
-    movable = list(range(k0, n_disks))
-    n_vars = len(movable) * n_seg
+    n_movable = n_disks - k0
+    n_vars = n_movable * n_seg
 
-    # shifted[k, j] is row k rotated left by j segments
-    idx = (np.arange(n_seg)[:, None] + np.arange(n_seg)[None, :]) % n_seg
-    shifted = b[:, idx]
+    # rot[p, j] is movable row p rotated left by j segments
+    rot = rotations(b)[k0:]
     base = b[0] if gauge_fixed else np.zeros(n_seg)
 
-    offset = float(base @ base) + rho * len(movable)
-    linear = np.empty(n_vars)
-    row_sq = np.einsum("ki,ki->k", b, b)
-    for pos, k in enumerate(movable):
-        block = slice(pos * n_seg, (pos + 1) * n_seg)
-        linear[block] = 2.0 * (shifted[k] @ base) + row_sq[k] - rho
+    offset = float(base @ base) + rho * n_movable
+    row_sq = np.einsum("ki,ki->k", b, b)[k0:]
+    linear = (2.0 * (rot @ base) + row_sq[:, None] - rho).reshape(n_vars)
 
-    quad: dict[tuple[int, int], float] = {}
-    penalty_keys = set()
-    for pa, ka in enumerate(movable):
-        for pb in range(pa, len(movable)):
-            kb = movable[pb]
-            gram = shifted[ka] @ shifted[kb].T
-            if pa == pb:
-                for j in range(n_seg):
-                    for j2 in range(j + 1, n_seg):
-                        key = (pa * n_seg + j, pa * n_seg + j2)
-                        quad[key] = 2.0 * float(gram[j, j2]) + 2.0 * rho
-                        penalty_keys.add(key)
-            else:
-                for j in range(n_seg):
-                    vi = pa * n_seg + j
-                    for j2 in range(n_seg):
-                        val = 2.0 * float(gram[j, j2])
-                        if val != 0.0:
-                            quad[(vi, pb * n_seg + j2)] = val
+    # gram[p, q] = rot[p] @ rot[q].T, one matrix product per disk pair
+    gram = np.matmul(rot[:, None], np.swapaxes(rot, 1, 2)[None])
+    quad = 2.0 * gram.transpose(0, 2, 1, 3).reshape(n_vars, n_vars)
+    within = same_disk(n_vars, n_seg)
+    quad[within] += 2.0 * rho
+    upper = np.triu(quad, 1)
 
-    # prune sparse entries below noise, keeping every penalty-bearing pair
-    magnitudes = [abs(v) for v in quad.values()]
-    if n_vars:
-        magnitudes.append(float(np.abs(linear).max()))
-    threshold = PRUNE_RELATIVE * max(magnitudes, default=0.0)
-    quad = {
-        key: val
-        for key, val in quad.items()
-        if key in penalty_keys or abs(val) >= threshold
-    }
+    # prune cross terms below noise, keeping every penalty-bearing pair
+    threshold = PRUNE_RELATIVE * max(np.abs(upper).max(initial=0.0), np.abs(linear).max(initial=0.0))
+    upper[(np.abs(upper) < threshold) & ~within] = 0.0
 
-    var_map = tuple((k, j) for k in movable for j in range(n_seg))
     return QuboModel(
         n_vars=n_vars,
         offset=offset,
         linear=linear,
-        quadratic=quad,
+        quadratic=upper,
         rho=float(rho),
-        var_map=var_map,
+        var_map=_layout(gauge_fixed, n_disks, n_seg),
         gauge_fixed=gauge_fixed,
         n_disks=n_disks,
         n_segments=n_seg,
@@ -203,8 +230,7 @@ def encode_shifts(shifts, n_segments: int, gauge_fixed: bool = True) -> np.ndarr
             raise InvalidInputError("gauge-fixed encoding requires shift 0 for disk 0; canonicalize first")
         s = s[1:]
     bits = np.zeros(len(s) * n_segments, dtype=np.uint8)
-    for pos, v in enumerate(s):
-        bits[pos * n_segments + v] = 1
+    bits[np.arange(len(s)) * n_segments + np.array(s, dtype=np.int64)] = 1
     return bits
 
 
@@ -213,43 +239,15 @@ def decode_solution(bits, model: QuboModel) -> ShiftVector | InfeasibleSample:
     x = np.asarray(bits)
     if x.shape != (model.n_vars,):
         raise InvalidInputError(f"expected {model.n_vars} bits, got shape {x.shape}")
-    if x.size and not np.all((x == 0) | (x == 1)):
+    if not np.all((x == 0) | (x == 1)):
         raise InvalidInputError("assignment entries must be 0 or 1")
-    k0 = 1 if model.gauge_fixed else 0
-    shifts: list[int] = []
-    violations: list[tuple[int, int]] = []
-    blocks = x.reshape(-1, model.n_segments) if model.n_vars else x.reshape(0, model.n_segments)
-    for pos, row in enumerate(blocks):
-        set_bits = np.flatnonzero(row)
-        if set_bits.size == 1:
-            shifts.append(int(set_bits[0]))
-        else:
-            violations.append((pos + k0, int(set_bits.size)))
-    if violations:
-        return InfeasibleSample(tuple(violations))
-    if model.gauge_fixed:
-        return (0, *shifts)
-    return tuple(shifts)
-
-
-def evaluate(model: QuboModel, bits) -> float:
-    """offset + sum of linear terms + sum of upper-triangular quadratic terms."""
-    x = np.asarray(bits, dtype=np.float64)
-    if x.shape != (model.n_vars,):
-        raise InvalidInputError(f"expected {model.n_vars} bits, got shape {x.shape}")
-    total = model.offset + float(model.linear @ x)
-    for (i, j), coeff in model.quadratic.items():
-        total += coeff * x[i] * x[j]
-    return total
-
-
-def dense_quadratic(model: QuboModel) -> np.ndarray:
-    """Symmetric dense coupling matrix with zero diagonal (for hot loops)."""
-    s = np.zeros((model.n_vars, model.n_vars))
-    for (i, j), coeff in model.quadratic.items():
-        s[i, j] = coeff
-        s[j, i] = coeff
-    return s
+    blocks = x.reshape(-1, model.n_segments)
+    counts = np.count_nonzero(blocks, axis=1)
+    if np.any(counts != 1):
+        k0 = 1 if model.gauge_fixed else 0
+        return InfeasibleSample(tuple((int(p) + k0, int(counts[p])) for p in np.flatnonzero(counts != 1)))
+    shifts = tuple(blocks.argmax(axis=1).tolist())
+    return (0, *shifts) if model.gauge_fixed else shifts
 
 
 def evaluate_batch(model: QuboModel, assignments: np.ndarray) -> np.ndarray:
@@ -257,9 +255,13 @@ def evaluate_batch(model: QuboModel, assignments: np.ndarray) -> np.ndarray:
     x = np.asarray(assignments, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_vars:
         raise InvalidInputError(f"expected rows of {model.n_vars} bits, got shape {x.shape}")
-    s = dense_quadratic(model)
-    pair = 0.5 * np.einsum("bi,ij,bj->b", x, s, x)
+    pair = 0.5 * np.einsum("bi,ij,bj->b", x, model.coupling, x)
     return model.offset + x @ model.linear + pair
+
+
+def evaluate(model: QuboModel, bits) -> float:
+    """Energy of one assignment: the batch-of-one case of evaluate_batch."""
+    return float(evaluate_batch(model, np.asarray(bits, dtype=np.float64)[None])[0])
 
 
 def export_qubo(model: QuboModel, path=None) -> str:
@@ -268,18 +270,17 @@ def export_qubo(model: QuboModel, path=None) -> str:
     Header "QUBO n_vars offset rho", comment lines recording the gauge flag,
     the stack dimensions and the variable bijection, then "L i coeff" lines
     for nonzero linear terms and "Q i j coeff" (i < j) for quadratic terms,
-    all at 17 significant digits.
+    all at 17 significant digits. The bijection is always the fixed layout
+    of QuboModel, one "# varmap v -> k,j" line per variable in order.
     """
     lines = [f"QUBO {model.n_vars} {model.offset:.17g} {model.rho:.17g}"]
     lines.append(f"# gauge_fixed {int(model.gauge_fixed)}")
     lines.append(f"# disks {model.n_disks} segments {model.n_segments}")
-    for i, (k, j) in enumerate(model.var_map):
-        lines.append(f"# varmap {i} -> {k},{j}")
-    for i, coeff in enumerate(model.linear):
-        if coeff != 0.0:
-            lines.append(f"L {i} {coeff:.17g}")
-    for i, j in sorted(model.quadratic):
-        lines.append(f"Q {i} {j} {model.quadratic[(i, j)]:.17g}")
+    lines.extend(f"# varmap {i} -> {k},{j}" for i, (k, j) in enumerate(model.var_map))
+    lines.extend(f"L {i} {c:.17g}" for i, c in enumerate(model.linear.tolist()) if c != 0.0)
+    rows, cols = model.quadratic.pairs()
+    values = model.coupling[rows, cols].tolist()
+    lines.extend(f"Q {i} {j} {c:.17g}" for i, j, c in zip(rows.tolist(), cols.tolist(), values))
     text = "\n".join(lines) + "\n"
     if path is not None:
         Path(path).write_text(text)
@@ -287,20 +288,26 @@ def export_qubo(model: QuboModel, path=None) -> str:
 
 
 def parse_qubo(text: str) -> QuboModel:
+    """Read the export format back into a model.
+
+    The varmap lines must list the variables 0, 1, ... in order and in the
+    fixed layout of QuboModel; parsing rejects any other varmap.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("QUBO "):
         raise InvalidInputError("missing QUBO header line")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise InvalidInputError(f"bad header: {lines[0]!r}")
     try:
-        n_vars, offset, rho = int(head[1]), float(head[2]), float(head[3])
+        _, n_vars, offset, rho = lines[0].split()
+        n_vars, offset, rho = int(n_vars), float(offset), float(rho)
     except ValueError:
         raise InvalidInputError(f"bad header: {lines[0]!r}") from None
+    # every variable needs its own varmap line, which bounds the allocation
+    if not 0 <= n_vars <= len(lines):
+        raise InvalidInputError(f"bad header: {lines[0]!r}")
 
     gauge_fixed = True
     n_disks = n_segments = None
-    var_map: dict[int, tuple[int, int]] = {}
+    var_map: list[tuple[int, int]] = []
     linear = np.zeros(n_vars)
     quad: dict[tuple[int, int], float] = {}
     for ln in lines[1:]:
@@ -308,33 +315,32 @@ def parse_qubo(text: str) -> QuboModel:
         try:
             if parts[0] == "#":
                 if parts[1] == "gauge_fixed":
-                    gauge_fixed = bool(int(parts[2]))
+                    gauge_fixed = {"0": False, "1": True}[parts[2]]
                 elif parts[1] == "disks":
                     n_disks, n_segments = int(parts[2]), int(parts[4])
                 elif parts[1] == "varmap":
+                    if int(parts[2]) != len(var_map):
+                        raise InvalidInputError(f"bad line: {ln!r}")
                     k, j = parts[4].split(",")
-                    var_map[int(parts[2])] = (int(k), int(j))
+                    var_map.append((int(k), int(j)))
                 continue
-            if parts[0] == "L":
-                linear[int(parts[1])] = float(parts[2])
-            elif parts[0] == "Q":
-                quad[(int(parts[1]), int(parts[2]))] = float(parts[3])
+            if parts[0] == "L" and 0 <= (i := int(parts[1])) < n_vars:
+                linear[i] = float(parts[2])
+            elif parts[0] == "Q" and 0 <= (i := int(parts[1])) < (j := int(parts[2])) < n_vars:
+                quad[(i, j)] = float(parts[3])
             else:
-                raise InvalidInputError(f"unrecognized line: {ln!r}")
-        except (IndexError, ValueError):
-            raise InvalidInputError(f"unrecognized line: {ln!r}") from None
+                raise InvalidInputError(f"bad line: {ln!r}")
+        except (IndexError, KeyError, ValueError):
+            raise InvalidInputError(f"bad line: {ln!r}") from None
     if n_disks is None or n_segments is None:
         raise InvalidInputError("missing '# disks ... segments ...' line")
-    ordered = tuple(var_map[i] for i in sorted(var_map))
-    if len(ordered) != n_vars:
-        raise InvalidInputError("varmap does not cover every variable")
     return QuboModel(
         n_vars=n_vars,
         offset=offset,
         linear=linear,
         quadratic=quad,
         rho=rho,
-        var_map=ordered,
+        var_map=tuple(var_map),
         gauge_fixed=gauge_fixed,
         n_disks=n_disks,
         n_segments=n_segments,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..qubo import InfeasibleSample, QuboModel, decode_solution, dense_quadratic, evaluate_batch
+from ..qubo import InfeasibleSample, QuboModel, decode_solution, evaluate_batch, same_disk
 from ..rng import stream_rng
 from ..stack import DeviationMatrix, canonicalize_shifts, shift_metrics
 from .result import SolveResult
@@ -53,14 +53,11 @@ def _objective_scale(model: QuboModel) -> float:
     objective parts. Their median magnitude estimates the energy resolution
     the cold end of the schedule has to reach.
     """
-    parts = [abs(v + model.rho) for v in model.linear]
-    for (i, j), coeff in model.quadratic.items():
-        if model.var_map[i][0] == model.var_map[j][0]:
-            parts.append(abs(coeff - 2.0 * model.rho))
-        else:
-            parts.append(abs(coeff))
-    nonzero = [p for p in parts if p > 0]
-    return float(np.median(nonzero)) if nonzero else 0.0
+    c = model.coupling
+    objective = np.where(same_disk(model.n_vars, model.n_segments), c - 2.0 * model.rho, c)
+    parts = np.abs(np.concatenate([model.linear + model.rho, objective[np.triu_indices(model.n_vars, 1)]]))
+    nonzero = parts[parts > 0]
+    return float(np.median(nonzero)) if nonzero.size else 0.0
 
 
 def default_beta_range(model: QuboModel) -> tuple[float, float]:
@@ -74,17 +71,14 @@ def default_beta_range(model: QuboModel) -> tuple[float, float]:
     one-hot constraints have long since frozen all movement. Overridable
     through an explicit schedule.
     """
-    couple = np.abs(dense_quadratic(model))
+    couple = np.abs(model.coupling)
     field = np.abs(model.linear) + couple.sum(axis=1)
     if field.size == 0 or field.max() == 0:
         return 1.0, 1.0
     smallest = _objective_scale(model)
     if smallest == 0:
-        steps = np.concatenate([np.abs(model.linear), np.abs(list(model.quadratic.values()))])
-        steps = steps[steps > 0]
-        if steps.size == 0:
-            return 1.0, 1.0
-        smallest = float(steps.min())
+        steps = np.concatenate([np.abs(model.linear), couple.ravel()])
+        smallest = float(steps[steps > 0].min())
     return math.log(2.0) / float(field.max()), math.log(100.0) / smallest
 
 
@@ -115,14 +109,13 @@ def simulated_anneal(
 
     t0 = time.perf_counter()
     n = model.n_vars
-    lin = np.asarray(model.linear)
-    coupling = dense_quadratic(model)
+    coupling = model.coupling
     rng = stream_rng("anneal", seed)
     x = rng.integers(0, 2, size=(samples, n)).astype(np.float64)
     chains = np.arange(samples)
     for beta in sched.betas():
         order = np.argsort(rng.random((samples, n)), axis=1)
-        lin_ordered = lin[order]
+        lin_ordered = model.linear[order]
         unif = rng.random((samples, n))
         for pos in range(n):
             v = order[:, pos]

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from ..stack import DeviationMatrix, apply_shifts, canonicalize_shifts, range_metric, stddev
+from ..stack import DeviationMatrix, apply_shifts, canonicalize_shifts, range_metric, rotated_sum, stddev
 from .exact import _bnb_core
 from .result import SolveResult
 
@@ -55,10 +55,7 @@ def block_approximate(devs: DeviationMatrix, budget_seconds: float | None = None
             internal.append(sub_shifts)
             leaves += sub_leaves
             completed = completed and sub_done
-            profile = np.zeros(ns)
-            for k, s in zip(block, sub_shifts):
-                profile += np.roll(b[k], -s)
-            super_rows[g] = profile
+            super_rows[g] = rotated_sum(b[block], sub_shifts)
         rot, _, rot_leaves, rot_done = _bnb_core(super_rows, deadline)
         leaves += rot_leaves
         completed = completed and rot_done

@@ -14,20 +14,13 @@ import time
 import numpy as np
 
 from ..errors import InvalidInputError, ProblemTooLargeError
-from ..stack import DeviationMatrix, apply_shifts, canonicalize_shifts, range_metric, stddev
+from ..stack import DeviationMatrix, apply_shifts, canonicalize_shifts, range_metric, rotations, stddev
 from .result import SolveResult
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 # largest vectorized leaf block; bounds peak memory at block * n_segments floats
 _TAIL_BLOCK = 4096
-
-
-def _shift_tensor(rows: np.ndarray) -> np.ndarray:
-    # tensor[k, j, i] = rows[k, (i + j) % ns], i.e. row k rotated left by j
-    ns = rows.shape[1]
-    idx = (np.arange(ns)[:, None] + np.arange(ns)[None, :]) % ns
-    return rows[:, idx]
 
 
 def _tail_table(shifted: np.ndarray, disks) -> np.ndarray:
@@ -78,7 +71,7 @@ def exhaustive_search(
     if n_disks == 1:
         shifts: tuple[int, ...] = (0,)
     else:
-        shifted = _shift_tensor(b)
+        shifted = rotations(b)
         free = list(range(1, n_disks))
         m = _tail_split(len(free), ns)
         prefix, tail = free[: len(free) - m], free[len(free) - m :]
@@ -145,7 +138,7 @@ def _bnb_core(rows: np.ndarray, deadline: float | None):
 
     row_ranges = np.ptp(rows, axis=1)
     order = np.argsort(-row_ranges, kind="stable")
-    shifted = _shift_tensor(rows)
+    shifted = rotations(rows)
     frozen = int(order[0])
     free = [int(k) for k in order[1:]]
     m = _tail_split(len(free), ns)

@@ -70,8 +70,9 @@ class DeviationMatrix:
             raise InvalidInputError("devs must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(d)):
             raise InvalidInputError("devs must be finite")
-        scale = float(np.abs(d).max())
-        if abs(float(d.sum())) > 1e-9 * d.size * scale:
+        # subnormal heights cannot be centered finer than the smallest subnormal
+        scale = max(1e-9 * float(np.abs(d).max()), np.finfo(np.float64).smallest_subnormal)
+        if abs(float(d.sum())) > d.size * scale:
             raise InvalidInputError("devs must sum to zero (mean-centered heights)")
         object.__setattr__(self, "devs", _freeze(d))
 
@@ -127,14 +128,23 @@ def _as_shift_vector(shifts, n_disks: int, n_segments: int) -> ShiftVector:
     return out
 
 
+def rotations(rows: np.ndarray) -> np.ndarray:
+    """Every rotation of every row: tensor[k, j] is row k rotated left by j."""
+    ns = rows.shape[1]
+    return rows[:, (np.arange(ns)[:, None] + np.arange(ns)) % ns]
+
+
+def rotated_sum(rows: np.ndarray, shifts) -> np.ndarray:
+    """Sum of the rows, each rotated left by its shift, accumulated in row order."""
+    total = np.zeros(rows.shape[1])
+    for row, shift in zip(rows, shifts):
+        total += np.roll(row, -shift)
+    return total
+
+
 def apply_shifts(devs: DeviationMatrix, shifts) -> SegmentProfile:
     """Rotate each disk by its shift number and sum the deviations per segment."""
-    b = devs.devs
-    s = _as_shift_vector(shifts, b.shape[0], b.shape[1])
-    profile = np.zeros(b.shape[1])
-    for k, shift in enumerate(s):
-        profile += np.roll(b[k], -shift)
-    return SegmentProfile(profile)
+    return SegmentProfile(rotated_sum(devs.devs, _as_shift_vector(shifts, devs.n_disks, devs.n_segments)))
 
 
 def _profile_values(profile) -> np.ndarray:
@@ -253,16 +263,16 @@ def parse_instance(text: str) -> DiskStack:
     rows = lines[2:]
     if len(rows) != n_disks:
         raise InvalidInputError(f"expected {n_disks} height rows, got {len(rows)}")
-    heights = np.empty((n_disks, n_segments))
+    heights = []
     for k, row in enumerate(rows):
         vals = row.split()
         if len(vals) != n_segments:
             raise InvalidInputError(f"row {k} has {len(vals)} heights, expected {n_segments}")
         try:
-            heights[k] = [float(v) for v in vals]
+            heights.append([float(v) for v in vals])
         except ValueError:
             raise InvalidInputError(f"row {k} holds a non-numeric height") from None
-    return DiskStack(heights, target, variation, seed)
+    return DiskStack(np.array(heights), target, variation, seed)
 
 
 def write_instance(stack: DiskStack, path) -> None:

@@ -1,0 +1,31 @@
+"""Every text parser rejects malformed input with the package's own errors."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import clutchopt as co
+from clutchopt.errors import ConfigError, InvalidInputError
+from clutchopt.stack import parse_instance
+
+# line shapes of the instance, QUBO and config formats, filled from VALUES
+TEMPLATES = [
+    "{}", "{} {}", "{} {} {}", "QUBO {} {} {}", "# gauge_fixed {}", "# disks {} segments {}",
+    "# varmap {} -> {}", "L {} {}", "Q {} {} {}", "size {} {}", "solver {} {}", "instances {}",
+]
+VALUES = ["-1", "0", "1", "2", "0.5", "nan", "1e999", "1,0", "1,1", "x", "-", "sa", "samples=2"]
+
+
+@st.composite
+def lines(draw):
+    template = draw(st.sampled_from(TEMPLATES))
+    return template.format(*(draw(st.sampled_from(VALUES)) for _ in range(template.count("{}"))))
+
+
+@settings(max_examples=500)
+@given(st.lists(lines(), max_size=8).map("\n".join))
+def test_only_package_errors_escape(text):
+    for parse in (parse_instance, co.parse_qubo, co.parse_config):
+        try:
+            parse(text)
+        except (InvalidInputError, ConfigError):
+            pass

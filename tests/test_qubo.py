@@ -11,6 +11,8 @@ from clutchopt.qubo import InfeasibleSample
 from conftest import deviation_matrices, devs_with_shifts
 
 EXAMPLE = co.DeviationMatrix(np.array([[-1.5, 0.5], [-0.5, 1.5]]))
+# a well-formed export of a gauge-fixed 2x2 stack with no coefficients
+TWO_VARS = "QUBO 2 0 1\n# gauge_fixed 1\n# disks 2 segments 2\n# varmap 0 -> 1,0\n# varmap 1 -> 1,1\n"
 
 
 def direct_energy(devs, rho, gauge_fixed, bits):
@@ -275,6 +277,14 @@ class TestExport:
             "QUBO x 1 1",
             "QUBO 1 0.0 1.0\nL 0 1.0",
             "QUBO 1 0.0 1.0\n# disks 2 segments 1\nwat 0 1",
+            "QUBO -1 0 1",
+            TWO_VARS + "L -1 5.0",
+            TWO_VARS.replace("QUBO 2 0 1", "QUBO 2 nan 1"),
+            TWO_VARS + "Q 0 1 inf",
+            TWO_VARS.replace("gauge_fixed 1", "gauge_fixed 5"),
+            TWO_VARS.replace("1 -> 1,1", "1 -> 1,0"),
+            TWO_VARS.replace("varmap 1 ->", "varmap 5 ->"),
+            TWO_VARS.replace("disks 2", "disks 9"),
         ],
     )
     def test_parse_errors(self, text):

@@ -45,6 +45,11 @@ class TestDeviations:
         devs = co.deviations(co.DiskStack(np.array([[5.0]])))
         assert devs.devs[0, 0] == 0.0
 
+    def test_subnormal_heights(self):
+        # the mean of these heights rounds to 0, so they cannot be centered exactly
+        heights = np.array([[0.0, 0.0, 0.0, 5e-324]])
+        assert np.array_equal(co.deviations(co.DiskStack(heights)).devs, heights)
+
     def test_against_bruteforce(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -264,6 +269,7 @@ class TestInstanceFile:
             "2 2\n2.0 0.1 -\n1 2",
             "2 2\n2.0 0.1 -\n1 2\n3 x",
             "junk\n2.0 0.1 -\n1 2\n3 4",
+            "1 -1\n2.0 0.1 -\n1.0",
         ],
     )
     def test_parse_errors(self, text):
