@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -72,6 +73,8 @@ class BenchmarkConfig:
             raise ConfigError("instances_per_size must be >= 1")
         if not self.solvers:
             raise ConfigError("config needs at least one solver")
+        if not (math.isfinite(self.target_thickness) and math.isfinite(self.max_variation)):
+            raise ConfigError("a0 and delta must be finite")
         if self.max_variation < 0:
             raise ConfigError("delta must be >= 0")
 

@@ -45,6 +45,8 @@ class DiskStack:
             raise InvalidInputError("heights must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(h)):
             raise InvalidInputError("heights must be finite")
+        if not (math.isfinite(self.target_thickness) and math.isfinite(self.max_variation)):
+            raise InvalidInputError("target_thickness and max_variation must be finite")
         if self.max_variation < 0:
             raise InvalidInputError("max_variation must be >= 0")
         object.__setattr__(self, "heights", _freeze(h))
@@ -225,6 +227,8 @@ def generate_instance(
     rng = stream_rng("instance", seed)
     low = target_thickness - max_variation / 2.0
     high = target_thickness + max_variation / 2.0
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise InvalidInputError("the thickness band must be finite")
     heights = rng.uniform(low, high, size=(n_disks, n_segments))
     return DiskStack(heights, target_thickness, max_variation, seed)
 

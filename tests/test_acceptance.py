@@ -10,6 +10,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 import clutchopt as co
 from clutchopt.bench import default_config, emit_results, parse_results, run_benchmark
@@ -165,6 +166,7 @@ def test_criterion_05_metric_inequalities():
     report(5, True, "range = pos peak + neg peak, range >= Linf, Linf >= sigma on 10^4 profiles")
 
 
+@pytest.mark.slow
 def test_criterion_06_sa_efficacy_desk_scale():
     t0 = time.perf_counter()
     rng = np.random.default_rng(606)
@@ -206,6 +208,7 @@ def _sa_wall_time(nd, ns, sweeps, repeats, samples, seed=11):
     return float(np.median(times))
 
 
+@pytest.mark.slow
 def test_criterion_07_sa_scaling():
     sweep_grid = np.array([500, 1500, 4500])
     sweep_times = np.array(
@@ -252,6 +255,7 @@ def test_criterion_08_approximate_quality_gap():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_end_to_end_benchmark():
     config = default_config()
     records = run_benchmark(config)
@@ -294,6 +298,7 @@ def test_criterion_09_end_to_end_benchmark():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_production_scale_smoke():
     budget = float(os.environ.get("CLUTCHOPT_BNB_BUDGET", "20"))
     assert budget <= 3600

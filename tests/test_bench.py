@@ -47,6 +47,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SolverSpec("sa", {"warp": 1})
 
+    @pytest.mark.parametrize(
+        "lines", ["a0 nan\ndelta nan\n", "a0 nan\n", "delta nan\n", "delta inf\n", "a0 -inf\n"]
+    )
+    def test_parse_rejects_non_finite_band(self, lines):
+        with pytest.raises(ConfigError):
+            parse_config("size 2 2\nsolver exact\n" + lines)
+
     def test_parse_round_trip(self):
         config = tiny_config(out="results.csv")
         assert parse_config(format_config(config)) == config

@@ -132,6 +132,35 @@ class TestBranchAndBound:
         sigma, spread = co.shift_metrics(devs, result.shifts)
         assert spread == pytest.approx(result.range, rel=1e-9)
 
+    @pytest.mark.parametrize("nd, ns", [(3, 42), (4, 20), (4, 42)])
+    def test_oracle_equivalence_past_the_head_screen(self, nd, ns):
+        # more segments than the head screen covers, so survivors are finished on the rest
+        for seed in range(3):
+            devs = co.deviations(co.generate_instance(nd, ns, seed=seed))
+            exact = co.branch_and_bound(devs)
+            oracle = co.exhaustive_search(devs, objective="range")
+            assert exact.range == oracle.range
+            assert exact.shifts == oracle.shifts
+            assert exact.optimal
+
+    @pytest.mark.parametrize("nd", [3, 4])
+    def test_integer_ties_past_the_head_screen(self, nd):
+        # small centred integer rows: every sum is exact and optima tie
+        for seed in range(12, 15):
+            rows = np.random.default_rng(seed).integers(-2, 3, size=(nd, 24)).astype(float)
+            rows[:, -1] -= rows.sum(axis=1)
+            devs = co.DeviationMatrix(rows)
+            exact = co.branch_and_bound(devs)
+            oracle = co.exhaustive_search(devs, objective="range")
+            assert exact.range == oracle.range
+            sigma, spread = co.shift_metrics(devs, exact.shifts)
+            assert spread == exact.range
+            assert sigma == exact.sigma
+
+    def test_leaves_count_every_leaf_reached(self):
+        devs = co.deviations(co.generate_instance(4, 42, seed=1))
+        assert co.branch_and_bound(devs).nodes_explored == 42**3
+
     @given(
         st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=8),
         st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=8),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import clutchopt as co
@@ -59,10 +59,12 @@ class TestDeviations:
             assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     @given(disk_stacks())
+    @example(co.DiskStack(np.array([[0.0, 0.0, 0.0, 5e-324]])))
     def test_mean_zero_invariant(self, stack):
         devs = co.deviations(stack)
         scale = np.abs(devs.devs).max()
-        assert abs(devs.devs.sum()) <= 1e-9 * devs.devs.size * scale
+        floor = max(1e-9 * scale, np.finfo(np.float64).smallest_subnormal)
+        assert abs(devs.devs.sum()) <= devs.devs.size * floor
 
     def test_rejects_non_centered(self):
         with pytest.raises(InvalidInputError):
@@ -218,6 +220,14 @@ class TestGenerateInstance:
         with pytest.raises(InvalidInputError):
             co.generate_instance(2, 2, 2.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "a0, delta",
+        [(2.0, math.nan), (2.0, math.inf), (math.nan, 0.1), (-math.inf, 0.1), (1.7e308, 1e308)],
+    )
+    def test_rejects_non_finite_band(self, a0, delta):
+        with pytest.raises(InvalidInputError):
+            co.generate_instance(2, 2, a0, delta)
+
     def test_histogram_bounds_and_mean(self):
         # 10^5 samples: hard bounds plus mean within 3 standard errors
         stack = co.generate_instance(200, 500, 2.0, 0.1, seed=7)
@@ -275,3 +285,8 @@ class TestInstanceFile:
     def test_parse_errors(self, text):
         with pytest.raises(InvalidInputError):
             co.stack.parse_instance(text)
+
+    @pytest.mark.parametrize("header", ["nan nan -", "2.0 nan -", "inf 0.1 -", "2.0 inf 0"])
+    def test_parse_rejects_non_finite_header(self, header):
+        with pytest.raises(InvalidInputError):
+            co.stack.parse_instance(f"2 2\n{header}\n1 2\n3 4")
