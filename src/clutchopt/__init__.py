@@ -2,7 +2,7 @@
 
 Models stacks of rotatable disks with per-segment thickness deviations,
 builds the one-hot-encoded binary quadratic model of the problem, and
-solves it with an exhaustive oracle, an exact branch-and-bound solver, a
+solves it with an exhaustive oracle, an exact screened enumeration, a
 block-decomposition heuristic, and a simulated annealer, plus a benchmark
 harness comparing solution quality and runtime across instance sizes.
 """

@@ -51,6 +51,8 @@ class SolverSpec:
         for key in self.params:
             if key not in _SOLVER_PARAM_TYPES:
                 raise ConfigError(f"unknown solver parameter {key!r}")
+        if not self.params.get("budget", 0) >= 0:  # also false for NaN
+            raise ConfigError(f"budget must be >= 0 seconds, got {self.params['budget']!r}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Solver portfolio behind one dispatch interface.
 
 exhaustive  - oracle enumeration of every gauge-fixed configuration
-exact       - branch-and-bound, range-optimal, optional wall-clock budget
+exact       - screened enumeration, range-optimal, optional wall-clock budget
 approx      - block decomposition, fast but without optimality guarantee
 sa          - simulated annealing on the gauge-fixed binary quadratic model
 """

@@ -15,8 +15,8 @@ import time
 
 import numpy as np
 
-from ..stack import DeviationMatrix, apply_shifts, canonicalize_shifts, range_metric, rotated_sum, stddev
-from .exact import _bnb_core
+from ..stack import DeviationMatrix, apply_shifts, range_metric, rotated_sum, stddev
+from .exact import _deadline, _range_search
 from .result import SolveResult
 
 MAX_SUBSET_DISKS = 8
@@ -38,10 +38,10 @@ def block_approximate(devs: DeviationMatrix, budget_seconds: float | None = None
     b = devs.devs
     ns = devs.n_segments
     t0 = time.perf_counter()
-    deadline = None if budget_seconds is None else t0 + float(budget_seconds)
+    deadline = _deadline(t0, budget_seconds)
 
     if devs.n_disks < 4:
-        shifts, _, leaves, completed = _bnb_core(b, deadline)
+        shifts, leaves, completed = _range_search(b, deadline)
         delegated = True
     else:
         delegated = False
@@ -51,12 +51,12 @@ def block_approximate(devs: DeviationMatrix, budget_seconds: float | None = None
         internal: list[tuple[int, ...]] = []
         super_rows = np.empty((len(blocks), ns))
         for g, block in enumerate(blocks):
-            sub_shifts, _, sub_leaves, sub_done = _bnb_core(b[block], deadline)
+            sub_shifts, sub_leaves, sub_done = _range_search(b[block], deadline)
             internal.append(sub_shifts)
             leaves += sub_leaves
             completed = completed and sub_done
             super_rows[g] = rotated_sum(b[block], sub_shifts)
-        rot, _, rot_leaves, rot_done = _bnb_core(super_rows, deadline)
+        rot, rot_leaves, rot_done = _range_search(super_rows, deadline)
         leaves += rot_leaves
         completed = completed and rot_done
         out = [0] * devs.n_disks
@@ -66,11 +66,10 @@ def block_approximate(devs: DeviationMatrix, budget_seconds: float | None = None
         shifts = tuple(out)
 
     wall = time.perf_counter() - t0
-    canon = canonicalize_shifts(shifts, ns)
-    profile = apply_shifts(devs, canon)
+    profile = apply_shifts(devs, shifts)
     return SolveResult(
         solver_id="approx",
-        shifts=canon,
+        shifts=shifts,
         sigma=stddev(profile),
         range=range_metric(profile),
         wall_time=wall,

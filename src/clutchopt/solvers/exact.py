@@ -1,34 +1,35 @@
-"""Exact solvers: exhaustive enumeration and branch-and-bound on the range.
+"""Exact solvers: exhaustive enumeration and a screened enumeration on the range.
 
-Both solvers exploit the global rotational symmetry and fix one disk at
-shift 0, leaving n_segments**(n_disks-1) candidate configurations. The
-trailing few disks of the search order are always evaluated as one
-vectorized block, so the Python-level tree stays shallow.
+Both solvers exploit the global rotational symmetry and fix disk 0 at
+shift 0, leaving n_segments**(n_disks-1) candidate configurations, and
+walk them in the same lex order. The trailing few disks are always
+evaluated as one vectorized block, so the Python-level loop stays short.
 
-Branch and bound stores that block transposed, one row per segment, so
-its range reductions run over contiguous rows. It screens each block on
-its first few segments: the range over a subset of segments never exceeds
-the full range, so a leaf whose head range already reaches the incumbent
-cannot improve on it. Only the survivors are finished on the remaining
-segments, or the whole block densely when too many survive to gather.
+The range solver stores that block transposed, one row per segment, and
+screens it on its first few segments: the range over a subset of segments
+never exceeds the full range, so a leaf whose head range already reaches
+the incumbent cannot improve on it. No subtree is skipped: a node bound
+such as range(p) minus the free rows' ranges rarely fires, since one row's
+range alone exceeds the optimal profile range, and saved no time where it did.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 import numpy as np
 
 from ..errors import InvalidInputError, ProblemTooLargeError
-from ..stack import DeviationMatrix, apply_shifts, canonicalize_shifts, range_metric, rotations, stddev
+from ..stack import DeviationMatrix, apply_shifts, range_metric, rotations, stddev
 from .result import SolveResult
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 # largest vectorized leaf block; bounds peak memory at block * n_segments floats
 _TAIL_BLOCK = 4096
-# segments branch and bound screens every leaf block on before finishing it
+# segments the range solver screens every leaf block on before finishing it
 _HEAD_COLUMNS = 16
 
 
@@ -48,11 +49,17 @@ def _tail_split(n_free: int, n_segments: int) -> int:
     return m
 
 
-def _tail_digits(index: int, n_segments: int, m: int) -> list[int]:
-    digits = []
-    for pos in range(m):
-        digits.append((index // n_segments ** (m - 1 - pos)) % n_segments)
-    return digits
+def _prefix_profile(rows: np.ndarray, shifted: np.ndarray, combo) -> np.ndarray:
+    """Row 0 plus rows 1, 2, ... rotated by combo, summed in row order."""
+    profile = rows[0]
+    for k, s in enumerate(combo, start=1):
+        profile = profile + shifted[k, s]
+    return profile
+
+
+def _shift_vector(combo, index: int, n_segments: int, m: int) -> tuple[int, ...]:
+    """Row 0 at 0, the prefix rows at combo, the m tail rows at index's base-n_segments digits."""
+    return (0, *combo, *(index // n_segments ** (m - 1 - pos) % n_segments for pos in range(m)))
 
 
 def exhaustive_search(
@@ -81,16 +88,11 @@ def exhaustive_search(
         shifts: tuple[int, ...] = (0,)
     else:
         shifted = rotations(b)
-        free = list(range(1, n_disks))
-        m = _tail_split(len(free), ns)
-        prefix, tail = free[: len(free) - m], free[len(free) - m :]
-        table = _tail_table(shifted, tail)
+        m = _tail_split(n_disks - 1, ns)
+        table = _tail_table(shifted, range(n_disks - m, n_disks))
         best_val = np.inf
-        for combo in itertools.product(range(ns), repeat=len(prefix)):
-            profile = b[0]
-            for k, s in zip(prefix, combo):
-                profile = profile + shifted[k, s]
-            block = profile + table
+        for combo in itertools.product(range(ns), repeat=n_disks - 1 - m):
+            block = _prefix_profile(b, shifted, combo) + table
             if objective == "range":
                 vals = block.max(axis=1)
                 vals -= block.min(axis=1)
@@ -100,13 +102,7 @@ def exhaustive_search(
             if vals[i] < best_val:
                 best_val = float(vals[i])
                 best_key = (combo, i)
-        combo, i = best_key
-        out = [0] * n_disks
-        for k, s in zip(prefix, combo):
-            out[k] = s
-        for k, digit in zip(tail, _tail_digits(i, ns, m)):
-            out[k] = digit
-        shifts = tuple(out)
+        shifts = _shift_vector(*best_key, ns, m)
     wall = time.perf_counter() - t0
     profile = apply_shifts(devs, shifts)
     return SolveResult(
@@ -121,68 +117,56 @@ def exhaustive_search(
     )
 
 
-class _BudgetExpired(Exception):
-    pass
+def _deadline(t0: float, budget_seconds: float | None) -> float:
+    """Wall-clock deadline t0 + budget; no budget never expires."""
+    if budget_seconds is None:
+        return math.inf
+    budget = float(budget_seconds)
+    if not budget >= 0:  # also false for NaN
+        raise InvalidInputError(f"budget_seconds must be >= 0, got {budget_seconds!r}")
+    return t0 + budget
 
 
-def _bnb_core(rows: np.ndarray, deadline: float | None):
-    """Branch-and-bound on the range metric over raw deviation rows.
+def _range_search(rows: np.ndarray, deadline: float):
+    """Range-optimal enumeration in exhaustive_search's order, sums and tie-break.
 
-    Branches on disks in descending row-range order with the widest disk
-    frozen at shift 0; children are explored in ascending lower bound. At a
-    node with partial profile p the bound is max(0, range(p) - sum of the
-    free rows' ranges), admissible because range(p + q) >= range(p) -
-    range(q) and circular shifts preserve a row's range. The identity shift
-    vector seeds the incumbent so pruning is active from the first node.
+    The identity shifts seed the incumbent. Each leaf block, the tail table
+    transposed to (n_segments, n_combos), is first ranged over its first
+    _HEAD_COLUMNS segments, a lower bound on each leaf's full range. Leaves
+    below the incumbent are finished on the other segments, gathered if at
+    most a quarter survive and densely otherwise; max and min are exact, so
+    every value matches the dense one bit for bit.
 
-    Leaf blocks use the tail table transposed to (n_segments, n_combos).
-    Each leaf is first ranged over the first _HEAD_COLUMNS segments; that
-    partial range is a lower bound on its full range, so only leaves with
-    a partial range below the incumbent are finished on the other
-    segments. If more than a quarter survive, the rest of the block is
-    finished densely instead of gathered. Max and min are exact, so every
-    leaf value, tie-break and incumbent matches a dense evaluation bit for
-    bit; leaves counts every leaf of every block reached.
-
-    Returns (shifts, range value, leaves evaluated, completed flag); shifts
-    are indexed by original row order. When the deadline expires the current
-    incumbent is returned with completed False.
+    Returns (shifts, leaves evaluated, completed). The search stops when the
+    incumbent range is 0, which no leaf can beat, or, incomplete, when the
+    deadline has passed at the start of a block.
     """
     n, ns = rows.shape
-    identity_value = float(np.ptp(rows.sum(axis=0)))
-    best = {"value": identity_value, "shifts": (0,) * n}
     if n == 1:
-        return best["shifts"], best["value"], 1, True
-
-    row_ranges = np.ptp(rows, axis=1)
-    order = np.argsort(-row_ranges, kind="stable")
+        return (0,), 1, True
     shifted = rotations(rows)
-    frozen = int(order[0])
-    free = [int(k) for k in order[1:]]
-    m = _tail_split(len(free), ns)
-    middle, tail = free[: len(free) - m], free[len(free) - m :]
-    table = np.ascontiguousarray(_tail_table(shifted, tail).T)
+    m = _tail_split(n - 1, ns)
+    table = np.ascontiguousarray(_tail_table(shifted, range(n - m, n)).T)
     head, n_combos = min(_HEAD_COLUMNS, ns), table.shape[1]
-    tail_range_sum = float(row_ranges[tail].sum())
-    # rem[d] = sum of ranges of rows still free once d middle disks are fixed
-    rem = np.empty(len(middle) + 1)
-    rem[-1] = tail_range_sum
-    for d in range(len(middle) - 1, -1, -1):
-        rem[d] = rem[d + 1] + row_ranges[middle[d]]
-
-    assign: dict[int, int] = {frozen: 0}
+    best_key = ((0,) * (n - 1 - m), 0)
+    best = float(np.ptp(_prefix_profile(rows, shifted, best_key[0]) + table[:, 0]))
     leaves = 0
-
-    def eval_tail(profile: np.ndarray) -> None:
-        nonlocal leaves
+    completed = True
+    for combo in itertools.product(range(ns), repeat=n - 1 - m):
+        if best == 0.0:
+            break
+        if time.perf_counter() > deadline:
+            completed = False
+            break
+        profile = _prefix_profile(rows, shifted, combo)
         leaves += n_combos
         block = profile[:head, None] + table[:head]
         hi = block.max(axis=0)
         lo = block.min(axis=0)
         del block  # freed before a dense finish allocates the rest of the block
-        keep = np.flatnonzero(hi - lo < best["value"])
+        keep = np.flatnonzero(hi - lo < best)
         if keep.size == 0:
-            return
+            continue
         if 4 * keep.size <= n_combos:
             hi, lo, rest = hi[keep], lo[keep], table[head:, keep]
         else:
@@ -193,58 +177,24 @@ def _bnb_core(rows: np.ndarray, deadline: float | None):
             np.minimum(lo, rest.min(axis=0), out=lo)
         vals = hi - lo
         i = int(np.argmin(vals))
-        if vals[i] < best["value"]:
-            best["value"] = float(vals[i])
-            if keep is not None:
-                i = int(keep[i])
-            out = [0] * n
-            for k, s in assign.items():
-                out[k] = s
-            for k, digit in zip(tail, _tail_digits(i, ns, m)):
-                out[k] = digit
-            best["shifts"] = tuple(out)
-
-    def visit(depth: int, profile: np.ndarray) -> None:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise _BudgetExpired
-        if depth == len(middle):
-            bound = max(0.0, float(profile.max() - profile.min()) - tail_range_sum)
-            if bound < best["value"]:
-                eval_tail(profile)
-            return
-        k = middle[depth]
-        children = profile + shifted[k]
-        spans = children.max(axis=1)
-        spans -= children.min(axis=1)
-        bounds = np.maximum(0.0, spans - rem[depth + 1])
-        for j in np.argsort(bounds, kind="stable"):
-            if bounds[j] >= best["value"]:
-                break
-            assign[k] = int(j)
-            visit(depth + 1, children[j])
-        assign.pop(k, None)
-
-    completed = True
-    root = rows[frozen]
-    if max(0.0, float(np.ptp(root)) - float(rem[0])) < best["value"]:
-        try:
-            visit(0, root)
-        except _BudgetExpired:
-            completed = False
-    return best["shifts"], best["value"], leaves, completed
+        if vals[i] < best:
+            best = float(vals[i])
+            best_key = (combo, i if keep is None else int(keep[i]))
+    return _shift_vector(*best_key, ns, m), leaves, completed
 
 
 def branch_and_bound(devs: DeviationMatrix, budget_seconds: float | None = None) -> SolveResult:
-    """Range-optimal solver; on budget expiry returns the incumbent unproven."""
+    """Range-optimal solver; on budget expiry returns the incumbent unproven.
+
+    Ties break lexicographically, as in exhaustive_search.
+    """
     t0 = time.perf_counter()
-    deadline = None if budget_seconds is None else t0 + float(budget_seconds)
-    shifts, _, leaves, completed = _bnb_core(devs.devs, deadline)
+    shifts, leaves, completed = _range_search(devs.devs, _deadline(t0, budget_seconds))
     wall = time.perf_counter() - t0
-    canon = canonicalize_shifts(shifts, devs.n_segments)
-    profile = apply_shifts(devs, canon)
+    profile = apply_shifts(devs, shifts)
     return SolveResult(
         solver_id="exact",
-        shifts=canon,
+        shifts=shifts,
         sigma=stddev(profile),
         range=range_metric(profile),
         wall_time=wall,

@@ -54,6 +54,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("size 2 2\nsolver exact\n" + lines)
 
+    @pytest.mark.parametrize("budget", ["nan", "-5", "-inf"])
+    def test_parse_rejects_nan_or_negative_budget(self, budget):
+        with pytest.raises(ConfigError):
+            parse_config(f"size 2 2\nsolver exact budget={budget}\n")
+
+    @pytest.mark.parametrize("budget", ["0", "inf", "2.5"])
+    def test_parse_accepts_zero_and_infinite_budget(self, budget):
+        config = parse_config(f"size 2 2\nsolver exact budget={budget}\n")
+        assert config.solvers[0].params["budget"] == float(budget)
+
     def test_parse_round_trip(self):
         config = tiny_config(out="results.csv")
         assert parse_config(format_config(config)) == config

@@ -67,6 +67,14 @@ class TestSolve:
         assert code == 0
         assert "optimal: true" in stdout
 
+    @pytest.mark.parametrize("budget", ["nan", "-5"])
+    def test_nan_or_negative_budget_exits_2(self, instance, capsys, budget):
+        code, _, stderr = run(
+            capsys, "solve", "--instance", str(instance), "--solver", "exact", "--budget", budget
+        )
+        assert code == 2
+        assert "budget" in stderr
+
     def test_export_qubo(self, instance, tmp_path, capsys):
         qubo_path = tmp_path / "model.qubo"
         code, _, _ = run(

@@ -161,6 +161,35 @@ class TestBranchAndBound:
         devs = co.deviations(co.generate_instance(4, 42, seed=1))
         assert co.branch_and_bound(devs).nodes_explored == 42**3
 
+    @pytest.mark.parametrize("nd, ns", [(3, 24), (4, 24), (5, 10)])
+    def test_ties_break_like_exhaustive(self, nd, ns):
+        # centred integer rows: every sum is exact, so optima tie exactly
+        for seed in range(12, 30):
+            rows = np.random.default_rng(seed).integers(-2, 3, size=(nd, ns)).astype(float)
+            rows[:, -1] -= rows.sum(axis=1)
+            devs = co.DeviationMatrix(rows)
+            assert co.branch_and_bound(devs).shifts == co.exhaustive_search(devs, "range").shifts
+
+    @pytest.mark.parametrize("nd, ns", [(8, 6), (9, 6)])
+    def test_completed_run_reaches_every_leaf(self, nd, ns):
+        for seed in range(100, 105):
+            result = co.branch_and_bound(co.deviations(co.generate_instance(nd, ns, seed=seed)))
+            assert result.optimal
+            assert result.range > 0.0
+            assert result.nodes_explored == ns ** (nd - 1)
+
+    @pytest.mark.parametrize("budget", [float("nan"), -5.0, -1e-9])
+    def test_rejects_nan_or_negative_budget(self, budget):
+        with pytest.raises(InvalidInputError):
+            co.branch_and_bound(EXAMPLE, budget_seconds=budget)
+        with pytest.raises(InvalidInputError):
+            co.block_approximate(EXAMPLE, budget_seconds=budget)
+
+    def test_zero_and_infinite_budgets_are_valid(self):
+        devs = co.deviations(co.generate_instance(4, 6, seed=3))
+        assert not co.branch_and_bound(devs, budget_seconds=0.0).optimal
+        assert co.branch_and_bound(devs, budget_seconds=float("inf")).optimal
+
     @given(
         st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=8),
         st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=8),
