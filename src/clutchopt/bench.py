@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ProblemTooLargeError
 from .rng import derive_seed
-from .solvers import DEFAULT_ENUMERATION_CAP, SOLVER_NAMES, solve
+from .solvers import SOLVER_NAMES, SOLVER_PARAMS, solve
 from .stack import (
     DEFAULT_MAX_VARIATION,
     DEFAULT_TARGET_THICKNESS,
@@ -28,6 +28,7 @@ from .stack import (
 
 DEFAULT_BASE_SEED = 20240817
 
+# config parameter types; each is the solve() parameter of the same name but budget
 _SOLVER_PARAM_TYPES = {
     "samples": int,
     "sweeps": int,
@@ -36,11 +37,12 @@ _SOLVER_PARAM_TYPES = {
     "budget": float,
     "objective": str,
 }
+_SOLVE_KWARGS = {"budget": "budget_seconds"}
 
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """One solver entry of a benchmark config: a name plus its parameters."""
+    """One solver entry of a benchmark config: a name plus the parameters it reads."""
 
     name: str
     params: dict = field(default_factory=dict)
@@ -49,8 +51,8 @@ class SolverSpec:
         if self.name not in SOLVER_NAMES:
             raise ConfigError(f"unknown solver {self.name!r}; expected one of {SOLVER_NAMES}")
         for key in self.params:
-            if key not in _SOLVER_PARAM_TYPES:
-                raise ConfigError(f"unknown solver parameter {key!r}")
+            if key not in _SOLVER_PARAM_TYPES or _SOLVE_KWARGS.get(key, key) not in SOLVER_PARAMS[self.name]:
+                raise ConfigError(f"{self.name} does not take {key}")
         if not self.params.get("budget", 0) >= 0:  # also false for NaN
             raise ConfigError(f"budget must be >= 0 seconds, got {self.params['budget']!r}")
 
@@ -67,14 +69,17 @@ class BenchmarkConfig:
 
     def __post_init__(self) -> None:
         if not self.sizes:
-            raise ConfigError("config needs at least one size")
+            raise ConfigError("config needs at least one 'size ND NS'")
         for nd, ns in self.sizes:
             if nd < 1 or ns < 1:
                 raise ConfigError(f"bad size ({nd}, {ns})")
         if self.instances_per_size < 1:
             raise ConfigError("instances_per_size must be >= 1")
         if not self.solvers:
-            raise ConfigError("config needs at least one solver")
+            raise ConfigError("config needs at least one 'solver NAME'")
+        names = [spec.name for spec in self.solvers]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"a solver is listed more than once: {', '.join(names)}")
         if not (math.isfinite(self.target_thickness) and math.isfinite(self.max_variation)):
             raise ConfigError("a0 and delta must be finite")
         if self.max_variation < 0:
@@ -143,9 +148,9 @@ def default_config(
 def run_benchmark(config: BenchmarkConfig, progress=None) -> list[BenchmarkRecord]:
     """Run every configured solver on every generated instance.
 
-    Partial failures become error records and the run continues. Exact
-    solvers are skipped with a skip record where the gauge-fixed
-    configuration count exceeds their cap.
+    Partial failures become error records and the run continues. A solver
+    whose enumeration cap the gauge-fixed configuration count exceeds
+    yields a skip record.
     """
     records: list[BenchmarkRecord] = []
     for nd, ns in config.sizes:
@@ -171,37 +176,19 @@ def run_benchmark(config: BenchmarkConfig, progress=None) -> list[BenchmarkRecor
 
 
 def _run_one(devs, spec: SolverSpec, inst_seed: int, base: dict) -> BenchmarkRecord:
-    params = dict(spec.params)
-    leaves = base["n_segments"] ** (base["n_disks"] - 1)
-    if spec.name in ("exhaustive", "exact"):
-        cap = params.get("cap", DEFAULT_ENUMERATION_CAP)
-        if leaves > cap:
-            return BenchmarkRecord(
-                **base,
-                solver=spec.name,
-                status="skip",
-                seed=inst_seed,
-                note=f"{leaves} configurations exceed cap {cap}",
-            )
-    kwargs = {
-        "objective": params.get("objective"),
-        "rho": params.get("rho"),
-        "samples": params.get("samples"),
-        "sweeps": params.get("sweeps"),
-        "budget_seconds": params.get("budget"),
-        "cap": params.get("cap"),
-    }
-    if spec.name == "sa":
+    kwargs = {_SOLVE_KWARGS.get(key, key): value for key, value in spec.params.items()}
+    if "seed" in SOLVER_PARAMS[spec.name]:
         kwargs["seed"] = inst_seed
     try:
         result = solve(devs, spec.name, **kwargs)
     except Exception as exc:
+        skip = isinstance(exc, ProblemTooLargeError)
         return BenchmarkRecord(
             **base,
             solver=spec.name,
-            status="error",
+            status="skip" if skip else "error",
             seed=inst_seed,
-            note=f"{type(exc).__name__}: {exc}",
+            note=str(exc) if skip else f"{type(exc).__name__}: {exc}",
         )
     return BenchmarkRecord(
         **base,
@@ -289,7 +276,7 @@ def parse_config(text: str) -> BenchmarkConfig:
     """
     sizes: list[tuple[int, int]] = []
     solvers: list[SolverSpec] = []
-    scalars: dict = {}
+    scalars: dict = {"instances_per_size": 1}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -313,27 +300,16 @@ def parse_config(text: str) -> BenchmarkConfig:
                 params = {}
                 for item in parts[2:]:
                     pkey, _, pval = item.partition("=")
-                    if pkey not in _SOLVER_PARAM_TYPES:
-                        raise ConfigError(f"line {lineno}: unknown solver parameter {pkey!r}")
-                    params[pkey] = _SOLVER_PARAM_TYPES[pkey](pval)
+                    # an unknown name stays text for SolverSpec to reject by name
+                    params[pkey] = _SOLVER_PARAM_TYPES.get(pkey, str)(pval)
                 solvers.append(SolverSpec(parts[1], params))
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+                raise ConfigError(f"unknown key {key!r}")
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
         except (IndexError, ValueError):
             raise ConfigError(f"line {lineno}: cannot parse {raw!r}") from None
-    if not sizes:
-        raise ConfigError("config needs at least one 'size ND NS' line")
-    if not solvers:
-        raise ConfigError("config needs at least one 'solver NAME' line")
-    return BenchmarkConfig(
-        sizes=tuple(sizes),
-        instances_per_size=scalars.get("instances_per_size", 1),
-        solvers=tuple(solvers),
-        base_seed=scalars.get("base_seed", DEFAULT_BASE_SEED),
-        target_thickness=scalars.get("target_thickness", DEFAULT_TARGET_THICKNESS),
-        max_variation=scalars.get("max_variation", DEFAULT_MAX_VARIATION),
-        out=scalars.get("out"),
-    )
+    return BenchmarkConfig(sizes=tuple(sizes), solvers=tuple(solvers), **scalars)
 
 
 def format_config(config: BenchmarkConfig) -> str:

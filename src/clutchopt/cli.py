@@ -8,7 +8,7 @@ import sys
 from .bench import default_config, load_config, run_benchmark, write_results
 from .errors import ConfigError, InvalidInputError, ProblemTooLargeError
 from .qubo import annealing_penalty, build_qubo, export_qubo
-from .solvers import SOLVER_NAMES, solve
+from .solvers import SOLVER_NAMES, SOLVER_PARAMS, solve
 from .stack import (
     DEFAULT_MAX_VARIATION,
     DEFAULT_TARGET_THICKNESS,
@@ -81,7 +81,8 @@ def _cmd_solve(args) -> int:
         devs,
         args.solver,
         objective=args.objective,
-        rho=args.rho,
+        # --rho also sets the export penalty, so only a solver that reads it gets it
+        rho=args.rho if "rho" in SOLVER_PARAMS[args.solver] else None,
         samples=args.samples,
         sweeps=args.sweeps,
         seed=args.seed,

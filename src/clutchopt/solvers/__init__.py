@@ -1,7 +1,7 @@
 """Solver portfolio behind one dispatch interface.
 
 exhaustive  - oracle enumeration of every gauge-fixed configuration
-exact       - screened enumeration, range-optimal, optional wall-clock budget
+exact       - screened enumeration, range-optimal, optional wall-clock budget and cap
 approx      - block decomposition, fast but without optimality guarantee
 sa          - simulated annealing on the gauge-fixed binary quadratic model
 """
@@ -23,7 +23,16 @@ from .blocks import block_approximate, split_disk_blocks
 from .exact import DEFAULT_ENUMERATION_CAP, branch_and_bound, exhaustive_search
 from .result import SolveResult
 
-SOLVER_NAMES = ("exhaustive", "exact", "approx", "sa")
+# the solve() parameters each solver reads; any other parameter is an error
+SOLVER_PARAMS = {
+    "exhaustive": ("objective", "cap"),
+    "exact": ("objective", "budget_seconds", "cap"),
+    "approx": ("objective", "budget_seconds"),
+    "sa": ("objective", "rho", "samples", "sweeps", "schedule", "seed"),
+}
+SOLVER_NAMES = tuple(SOLVER_PARAMS)
+# the objectives each solver optimizes, its default first
+_OBJECTIVES = {"exhaustive": ("range", "sigma"), "exact": ("range",), "approx": ("range",), "sa": ("sigma",)}
 
 __all__ = [
     "AnnealSchedule",
@@ -31,6 +40,7 @@ __all__ = [
     "DEFAULT_SAMPLES",
     "DEFAULT_SWEEPS",
     "SOLVER_NAMES",
+    "SOLVER_PARAMS",
     "SolveResult",
     "block_approximate",
     "branch_and_bound",
@@ -56,39 +66,45 @@ def solve(
     budget_seconds: float | None = None,
     cap: int | None = None,
 ) -> SolveResult:
-    """Dispatch to a solver by name, with uniform parameter handling.
+    """Dispatch to a solver by name, passing on only the parameters it reads.
 
-    The exact solvers optimize the range; sa optimizes the standard
-    deviation through the squared L2 objective, so requesting the opposite
-    objective is rejected rather than silently ignored.
+    SOLVER_PARAMS lists them; any other parameter that is not None raises
+    InvalidInputError, and so does an objective the solver does not
+    optimize. exact and approx optimize the range, sa sigma (through the
+    squared L2 objective), exhaustive either (range by default). cap is an
+    enumeration cap: exhaustive defaults to DEFAULT_ENUMERATION_CAP, exact to
+    none. sa takes sweeps or a schedule, not both.
     """
+    if solver not in SOLVER_PARAMS:
+        raise InvalidInputError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
+    given = dict(
+        rho=rho, samples=samples, sweeps=sweeps, schedule=schedule, seed=seed,
+        budget_seconds=budget_seconds, cap=cap,
+    )
+    for name, value in given.items():
+        if value is not None and name not in SOLVER_PARAMS[solver]:
+            raise InvalidInputError(f"{solver} does not take {name}")
+    objectives = _OBJECTIVES[solver]
+    if objective is None:
+        objective = objectives[0]
+    elif objective not in objectives:
+        raise InvalidInputError(f"{solver} optimizes {' or '.join(objectives)} only, not {objective!r}")
+
     if solver == "exhaustive":
-        return exhaustive_search(
-            devs,
-            objective="range" if objective is None else objective,
-            cap=DEFAULT_ENUMERATION_CAP if cap is None else cap,
-        )
+        return exhaustive_search(devs, objective, DEFAULT_ENUMERATION_CAP if cap is None else cap)
     if solver == "exact":
-        if objective not in (None, "range"):
-            raise InvalidInputError("the exact solver optimizes the range only")
-        return branch_and_bound(devs, budget_seconds=budget_seconds)
+        return branch_and_bound(devs, budget_seconds, cap)
     if solver == "approx":
-        if objective not in (None, "range"):
-            raise InvalidInputError("the approximate solver optimizes the range only")
-        return block_approximate(devs, budget_seconds=budget_seconds)
-    if solver == "sa":
-        if objective not in (None, "sigma"):
-            raise InvalidInputError("sa optimizes sigma (the squared L2 norm) only")
-        rho_val = annealing_penalty(devs) if rho is None else float(rho)
-        model = build_qubo(devs, rho_val, gauge_fixed=True)
-        sched = schedule
-        if sched is None:
-            sched = default_schedule(model, sweeps=DEFAULT_SWEEPS if sweeps is None else sweeps)
-        return simulated_anneal(
-            model,
-            sched,
-            samples=DEFAULT_SAMPLES if samples is None else samples,
-            seed=seed,
-            devs=devs,
-        )
-    raise InvalidInputError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
+        return block_approximate(devs, budget_seconds)
+    if sweeps is not None and schedule is not None:
+        raise InvalidInputError("sa takes sweeps or a schedule, not both")
+    model = build_qubo(devs, annealing_penalty(devs) if rho is None else float(rho), gauge_fixed=True)
+    if schedule is None:
+        schedule = default_schedule(model, sweeps=DEFAULT_SWEEPS if sweeps is None else sweeps)
+    return simulated_anneal(
+        model,
+        schedule,
+        samples=DEFAULT_SAMPLES if samples is None else samples,
+        seed=seed,
+        devs=devs,
+    )

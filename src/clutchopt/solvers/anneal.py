@@ -20,8 +20,8 @@ import numpy as np
 from ..errors import InvalidInputError
 from ..qubo import InfeasibleSample, QuboModel, decode_solution, evaluate_batch, same_disk
 from ..rng import stream_rng
-from ..stack import DeviationMatrix, canonicalize_shifts, shift_metrics
-from .result import SolveResult
+from ..stack import DeviationMatrix, canonicalize_shifts
+from .result import SolveResult, scored
 
 DEFAULT_SAMPLES = 35
 DEFAULT_SWEEPS = 1500
@@ -137,45 +137,25 @@ def simulated_anneal(
         key = (float(energies[c]), canonicalize_shifts(decoded, model.n_segments))
         if best is None or key < best:
             best = key
-    wall = time.perf_counter() - t0
 
-    params = {
-        "rho": model.rho,
-        "samples": samples,
-        "sweeps": sched.sweeps,
-        "beta_initial": sched.beta_initial,
-        "beta_final": sched.beta_final,
+    fields = {
+        "samples_total": samples,
+        "samples_feasible": feasible,
+        "seed": seed,
+        "params": {
+            "rho": model.rho,
+            "samples": samples,
+            "sweeps": sched.sweeps,
+            "beta_initial": sched.beta_initial,
+            "beta_final": sched.beta_final,
+        },
     }
     if best is None:
-        return SolveResult(
-            solver_id="sa",
-            shifts=None,
-            sigma=None,
-            range=None,
-            energy=float(energies.min()),
-            wall_time=wall,
-            samples_total=samples,
-            samples_feasible=0,
-            seed=seed,
-            optimal=False,
-            params=params,
-        )
+        wall = time.perf_counter() - t0
+        return SolveResult("sa", None, None, None, energy=float(energies.min()), wall_time=wall, **fields)
     energy, shifts = best
     if devs is not None:
-        sigma, spread = shift_metrics(devs, shifts)
-    else:
-        sigma = math.sqrt(max(energy, 0.0) / model.n_segments)
-        spread = None
-    return SolveResult(
-        solver_id="sa",
-        shifts=shifts,
-        sigma=sigma,
-        range=spread,
-        energy=energy,
-        wall_time=wall,
-        samples_total=samples,
-        samples_feasible=feasible,
-        seed=seed,
-        optimal=False,
-        params=params,
-    )
+        return scored("sa", devs, shifts, t0, energy=energy, **fields)
+    wall = time.perf_counter() - t0
+    sigma = math.sqrt(max(energy, 0.0) / model.n_segments)
+    return SolveResult("sa", shifts, sigma, None, energy=energy, wall_time=wall, **fields)

@@ -15,9 +15,9 @@ import time
 
 import numpy as np
 
-from ..stack import DeviationMatrix, apply_shifts, range_metric, rotated_sum, stddev
+from ..stack import DeviationMatrix, rotated_sum
 from .exact import _deadline, _range_search
-from .result import SolveResult
+from .result import SolveResult, scored
 
 MAX_SUBSET_DISKS = 8
 MIN_SUBSETS = 3
@@ -65,15 +65,7 @@ def block_approximate(devs: DeviationMatrix, budget_seconds: float | None = None
                 out[k] = (s + rot[g]) % ns
         shifts = tuple(out)
 
-    wall = time.perf_counter() - t0
-    profile = apply_shifts(devs, shifts)
-    return SolveResult(
-        solver_id="approx",
-        shifts=shifts,
-        sigma=stddev(profile),
-        range=range_metric(profile),
-        wall_time=wall,
-        nodes_explored=leaves,
-        optimal=delegated and completed,
-        params={"delegated": delegated, "budget_seconds": budget_seconds},
+    params = {"delegated": delegated, "budget_seconds": budget_seconds}
+    return scored(
+        "approx", devs, shifts, t0, nodes_explored=leaves, optimal=delegated and completed, params=params
     )

@@ -22,8 +22,8 @@ import time
 import numpy as np
 
 from ..errors import InvalidInputError, ProblemTooLargeError
-from ..stack import DeviationMatrix, apply_shifts, range_metric, rotations, stddev
-from .result import SolveResult
+from ..stack import DeviationMatrix, rotations
+from .result import SolveResult, scored
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -62,10 +62,18 @@ def _shift_vector(combo, index: int, n_segments: int, m: int) -> tuple[int, ...]
     return (0, *combo, *(index // n_segments ** (m - 1 - pos) % n_segments for pos in range(m)))
 
 
+def _leaves_within(devs: DeviationMatrix, cap: int | None) -> int:
+    """n_segments**(n_disks-1) gauge-fixed configurations; ProblemTooLargeError past cap (None: no cap)."""
+    leaves = devs.n_segments ** (devs.n_disks - 1)
+    if cap is not None and leaves > cap:
+        raise ProblemTooLargeError(f"{leaves} gauge-fixed configurations exceed the cap of {cap}")
+    return leaves
+
+
 def exhaustive_search(
     devs: DeviationMatrix,
     objective: str = "range",
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    cap: int | None = DEFAULT_ENUMERATION_CAP,
 ) -> SolveResult:
     """Enumerate every gauge-fixed shift vector and keep the best.
 
@@ -75,13 +83,9 @@ def exhaustive_search(
     """
     if objective not in ("range", "sigma"):
         raise InvalidInputError(f"objective must be 'range' or 'sigma', got {objective!r}")
+    leaves = _leaves_within(devs, cap)
     b = devs.devs
     n_disks, ns = b.shape
-    leaves = ns ** (n_disks - 1)
-    if leaves > cap:
-        raise ProblemTooLargeError(
-            f"{leaves} gauge-fixed configurations exceed the cap of {cap}"
-        )
     t0 = time.perf_counter()
     best_key = None
     if n_disks == 1:
@@ -103,18 +107,8 @@ def exhaustive_search(
                 best_val = float(vals[i])
                 best_key = (combo, i)
         shifts = _shift_vector(*best_key, ns, m)
-    wall = time.perf_counter() - t0
-    profile = apply_shifts(devs, shifts)
-    return SolveResult(
-        solver_id="exhaustive",
-        shifts=shifts,
-        sigma=stddev(profile),
-        range=range_metric(profile),
-        wall_time=wall,
-        nodes_explored=leaves,
-        optimal=True,
-        params={"objective": objective, "cap": cap},
-    )
+    params = {"objective": objective, "cap": cap}
+    return scored("exhaustive", devs, shifts, t0, nodes_explored=leaves, optimal=True, params=params)
 
 
 def _deadline(t0: float, budget_seconds: float | None) -> float:
@@ -183,22 +177,18 @@ def _range_search(rows: np.ndarray, deadline: float):
     return _shift_vector(*best_key, ns, m), leaves, completed
 
 
-def branch_and_bound(devs: DeviationMatrix, budget_seconds: float | None = None) -> SolveResult:
-    """Range-optimal solver; on budget expiry returns the incumbent unproven.
+def branch_and_bound(
+    devs: DeviationMatrix, budget_seconds: float | None = None, cap: int | None = None
+) -> SolveResult:
+    """Range-optimal screened enumeration; on budget expiry returns the incumbent unproven.
 
-    Ties break lexicographically, as in exhaustive_search.
+    cap is an enumeration cap, as in exhaustive_search: more than cap
+    gauge-fixed configurations raise ProblemTooLargeError before any search,
+    and None means no cap. Ties break lexicographically, as in
+    exhaustive_search.
     """
+    _leaves_within(devs, cap)
     t0 = time.perf_counter()
     shifts, leaves, completed = _range_search(devs.devs, _deadline(t0, budget_seconds))
-    wall = time.perf_counter() - t0
-    profile = apply_shifts(devs, shifts)
-    return SolveResult(
-        solver_id="exact",
-        shifts=shifts,
-        sigma=stddev(profile),
-        range=range_metric(profile),
-        wall_time=wall,
-        nodes_explored=leaves,
-        optimal=completed,
-        params={"budget_seconds": budget_seconds},
-    )
+    params = {"budget_seconds": budget_seconds}
+    return scored("exact", devs, shifts, t0, nodes_explored=leaves, optimal=completed, params=params)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+
+from ..stack import DeviationMatrix, shift_metrics
 
 
 @dataclass(frozen=True)
@@ -32,3 +35,10 @@ class SolveResult:
     @property
     def found_feasible(self) -> bool:
         return self.shifts is not None
+
+
+def scored(solver_id: str, devs: DeviationMatrix, shifts, t0: float, **fields) -> SolveResult:
+    """Stop the clock started at t0 and score shifts by their sigma and range on devs."""
+    wall = time.perf_counter() - t0
+    sigma, spread = shift_metrics(devs, shifts)
+    return SolveResult(solver_id, shifts, sigma, spread, wall_time=wall, **fields)

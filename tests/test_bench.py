@@ -64,6 +64,31 @@ class TestConfig:
         config = parse_config(f"size 2 2\nsolver exact budget={budget}\n")
         assert config.solvers[0].params["budget"] == float(budget)
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("solver exact budget=nan", "budget must be >= 0"),
+            ("solver sa budget=1", "sa does not take budget"),
+            ("bogus 1", "unknown key"),
+        ],
+    )
+    def test_parse_errors_keep_their_reason(self, line, reason):
+        with pytest.raises(ConfigError, match=f"^line 2: {reason}"):
+            parse_config(f"size 2 2\n{line}\nsolver approx\n")
+
+    def test_solver_spec_checks_parameters_against_the_solver(self):
+        with pytest.raises(ConfigError, match="exact does not take samples"):
+            SolverSpec("exact", {"samples": 3})
+        with pytest.raises(ConfigError, match="approx does not take cap"):
+            SolverSpec("approx", {"cap": 100})
+        assert SolverSpec("exact", {"cap": 100, "budget": 1.0}).params == {"cap": 100, "budget": 1.0}
+
+    def test_rejects_a_solver_listed_twice(self):
+        with pytest.raises(ConfigError, match="more than once"):
+            parse_config("size 2 2\nsolver sa samples=2 sweeps=5\nsolver sa samples=3 sweeps=50\n")
+        with pytest.raises(ConfigError, match="more than once"):
+            tiny_config(solvers=(SolverSpec("exact"), SolverSpec("approx"), SolverSpec("exact")))
+
     def test_parse_round_trip(self):
         config = tiny_config(out="results.csv")
         assert parse_config(format_config(config)) == config
@@ -125,6 +150,19 @@ class TestRunBenchmark:
         assert skip.sigma is None
         ok = [r for r in records if r.solver == "approx"][0]
         assert ok.status == "ok"
+
+    def test_exact_skips_beyond_its_cap(self):
+        config = tiny_config(
+            sizes=((4, 6),),
+            instances_per_size=1,
+            solvers=(SolverSpec("exact", {"cap": 100}), SolverSpec("approx")),
+        )
+        records = run_benchmark(config)
+        skip = records[0]
+        assert skip.status == "skip"
+        assert skip.note == "216 gauge-fixed configurations exceed the cap of 100"
+        assert skip.nodes_explored is None
+        assert records[1].status == "ok"
 
     def test_error_record_keeps_run_going(self, monkeypatch):
         import clutchopt.bench as bench_mod

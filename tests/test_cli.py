@@ -75,6 +75,26 @@ class TestSolve:
         assert code == 2
         assert "budget" in stderr
 
+    def test_parameter_the_solver_does_not_read_exits_2(self, instance, capsys):
+        code, _, stderr = run(
+            capsys, "solve", "--instance", str(instance), "--solver", "exact", "--seed", "3"
+        )
+        assert code == 2
+        assert "exact does not take seed" in stderr
+
+    def test_rho_sets_the_export_penalty_for_any_solver(self, instance, tmp_path, capsys):
+        qubo_path = tmp_path / "model.qubo"
+        code, _, _ = run(
+            capsys,
+            "solve",
+            "--instance", str(instance),
+            "--solver", "exact",
+            "--rho", "0.5",
+            "--export-qubo", str(qubo_path),
+        )
+        assert code == 0
+        assert co.load_qubo(qubo_path).rho == 0.5
+
     def test_export_qubo(self, instance, tmp_path, capsys):
         qubo_path = tmp_path / "model.qubo"
         code, _, _ = run(

@@ -95,3 +95,36 @@ class TestSolveDispatch:
         devs = co.deviations(co.generate_instance(5, 6, seed=3))
         with pytest.raises(co.ProblemTooLargeError):
             co.solve(devs, "exhaustive", cap=10)
+
+    @pytest.mark.parametrize(
+        "solver, kwargs",
+        [
+            ("sa", {"budget_seconds": float("nan")}),
+            ("exhaustive", {"budget_seconds": -5.0}),
+            ("exact", {"seed": 4}),
+            ("exact", {"rho": -1.0}),
+            ("exact", {"samples": 3}),
+            ("exact", {"sweeps": 10}),
+            ("approx", {"cap": 100}),
+            ("sa", {"cap": 100}),
+        ],
+    )
+    def test_rejects_parameters_the_solver_does_not_read(self, solver, kwargs):
+        (name,) = kwargs
+        with pytest.raises(InvalidInputError, match=f"{solver} does not take {name}"):
+            co.solve(self.DEVS, solver, **kwargs)
+
+    def test_sa_rejects_sweeps_and_schedule_together(self):
+        with pytest.raises(InvalidInputError, match="not both"):
+            co.solve(self.DEVS, "sa", sweeps=10, schedule=co.AnnealSchedule(sweeps=10))
+
+    def test_exact_cap_is_an_enumeration_cap(self):
+        devs = co.deviations(co.generate_instance(4, 6, seed=3))
+        leaves = 6**3
+        with pytest.raises(co.ProblemTooLargeError):
+            co.solve(devs, "exact", cap=leaves - 1)
+        capped = co.solve(devs, "exact", cap=leaves)
+        free = co.solve(devs, "exact")
+        assert capped.shifts == free.shifts
+        assert capped.range == free.range
+        assert capped.nodes_explored == free.nodes_explored == leaves
