@@ -13,12 +13,14 @@ import csv
 import io
 import json
 import math
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, ProblemTooLargeError
 from .rng import derive_seed
-from .solvers import SOLVER_NAMES, SOLVER_PARAMS, solve
+from .solvers import SOLVER_NAMES, SOLVER_OBJECTIVES, SOLVER_PARAMS, solve
+from .solvers.result import REPORTED_FIELDS, format_value
 from .stack import (
     DEFAULT_MAX_VARIATION,
     DEFAULT_TARGET_THICKNESS,
@@ -53,6 +55,11 @@ class SolverSpec:
         for key in self.params:
             if key not in _SOLVER_PARAM_TYPES or _SOLVE_KWARGS.get(key, key) not in SOLVER_PARAMS[self.name]:
                 raise ConfigError(f"{self.name} does not take {key}")
+        objectives = SOLVER_OBJECTIVES[self.name]
+        if self.params.get("objective", objectives[0]) not in objectives:
+            raise ConfigError(
+                f"{self.name} optimizes {' or '.join(objectives)} only, not {self.params['objective']!r}"
+            )
         if not self.params.get("budget", 0) >= 0:  # also false for NaN
             raise ConfigError(f"budget must be >= 0 seconds, got {self.params['budget']!r}")
 
@@ -88,6 +95,9 @@ class BenchmarkConfig:
 
 @dataclass(frozen=True)
 class BenchmarkRecord:
+    """One row of the CSV/JSONL results; the columns after status are the
+    SolveResult fields of the same name, but seed is the instance seed."""
+
     instance: str
     n_disks: int
     n_segments: int
@@ -107,16 +117,8 @@ class BenchmarkRecord:
 
 
 _COLUMNS = tuple(f.name for f in fields(BenchmarkRecord))
-_FLOAT_COLUMNS = {"sigma", "range", "energy", "wall_time"}
-_INT_COLUMNS = {
-    "n_disks",
-    "n_segments",
-    "n_vars",
-    "samples_total",
-    "samples_feasible",
-    "nodes_explored",
-    "seed",
-}
+_RESULT_COLUMNS = tuple(name for name in REPORTED_FIELDS if name in _COLUMNS)
+_COLUMN_TYPES = typing.get_type_hints(BenchmarkRecord)
 
 
 def default_config(
@@ -190,42 +192,22 @@ def _run_one(devs, spec: SolverSpec, inst_seed: int, base: dict) -> BenchmarkRec
             seed=inst_seed,
             note=str(exc) if skip else f"{type(exc).__name__}: {exc}",
         )
-    return BenchmarkRecord(
-        **base,
-        solver=spec.name,
-        status="ok" if result.found_feasible else "no-feasible-sample",
-        sigma=result.sigma,
-        range=result.range,
-        energy=result.energy,
-        wall_time=result.wall_time,
-        samples_total=result.samples_total,
-        samples_feasible=result.samples_feasible,
-        nodes_explored=result.nodes_explored,
-        optimal=result.optimal,
-        seed=inst_seed,
-    )
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    values = {name: getattr(result, name) for name in _RESULT_COLUMNS}
+    values["seed"] = inst_seed  # a row's seed is the instance seed, whatever the solver reads
+    return BenchmarkRecord(**base, solver=spec.name, status=result.status, **values)
 
 
 def _uncell(column: str, text: str):
-    if text == "":
-        return None if column != "note" else ""
-    if column == "optimal":
-        return text == "true"
-    if column in _FLOAT_COLUMNS:
-        return float(text)
-    if column in _INT_COLUMNS:
-        return int(text)
-    return text
+    hint = _COLUMN_TYPES[column]
+    optional = typing.get_args(hint)  # (T, NoneType) for a "T | None" column
+    if text == "" and optional:
+        return None
+    kind = optional[0] if optional else hint
+    if kind is not bool:
+        return kind(text)
+    if text not in ("true", "false"):
+        raise ValueError(f"{column} must be true or false, not {text!r}")
+    return text == "true"
 
 
 def emit_results(records, fmt: str = "csv") -> str:
@@ -235,7 +217,7 @@ def emit_results(records, fmt: str = "csv") -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_COLUMNS)
         for rec in records:
-            writer.writerow([_cell(getattr(rec, col)) for col in _COLUMNS])
+            writer.writerow([format_value(getattr(rec, col)) for col in _COLUMNS])
         return buf.getvalue()
     if fmt == "jsonl":
         lines = []
@@ -246,21 +228,28 @@ def emit_results(records, fmt: str = "csv") -> str:
 
 
 def parse_results(text: str, fmt: str = "csv") -> list[BenchmarkRecord]:
-    if fmt == "csv":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or tuple(rows[0]) != _COLUMNS:
-            raise ConfigError("unexpected CSV header")
-        return [
-            BenchmarkRecord(**{col: _uncell(col, cell) for col, cell in zip(_COLUMNS, row)})
-            for row in rows[1:]
-        ]
-    if fmt == "jsonl":
-        records = []
-        for line in text.splitlines():
-            if line.strip():
-                records.append(BenchmarkRecord(**json.loads(line)))
-        return records
-    raise ConfigError(f"unknown output format {fmt!r}")
+    """Read emit_results output back; malformed input raises ConfigError."""
+    records: list[BenchmarkRecord] = []
+    try:
+        if fmt == "csv":
+            rows = csv.reader(io.StringIO(text))
+            if next(rows, None) != list(_COLUMNS):
+                raise ConfigError("unexpected CSV header")
+            for row in rows:
+                if len(row) != len(_COLUMNS):
+                    raise ValueError(f"{len(row)} cells, expected {len(_COLUMNS)}")
+                records.append(BenchmarkRecord(**{col: _uncell(col, cell) for col, cell in zip(_COLUMNS, row)}))
+        elif fmt == "jsonl":
+            for line in text.splitlines():
+                if line.strip():
+                    records.append(BenchmarkRecord(**json.loads(line)))
+        else:
+            raise ConfigError(f"unknown output format {fmt!r}")
+    except ConfigError:
+        raise
+    except (csv.Error, TypeError, ValueError) as exc:
+        raise ConfigError(f"record {len(records) + 1}: {exc}") from None
+    return records
 
 
 def write_results(records, path, fmt: str = "csv") -> None:
@@ -300,6 +289,8 @@ def parse_config(text: str) -> BenchmarkConfig:
                 params = {}
                 for item in parts[2:]:
                     pkey, _, pval = item.partition("=")
+                    if pkey in params:
+                        raise ConfigError(f"{pkey} is given twice")
                     # an unknown name stays text for SolverSpec to reject by name
                     params[pkey] = _SOLVER_PARAM_TYPES.get(pkey, str)(pval)
                 solvers.append(SolverSpec(parts[1], params))
@@ -321,7 +312,7 @@ def format_config(config: BenchmarkConfig) -> str:
     if config.out is not None:
         lines.append(f"out {config.out}")
     for spec in config.solvers:
-        items = "".join(f" {k}={_cell(v)}" for k, v in spec.params.items())
+        items = "".join(f" {k}={format_value(v)}" for k, v in spec.params.items())
         lines.append(f"solver {spec.name}{items}")
     return "\n".join(lines) + "\n"
 

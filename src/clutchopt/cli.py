@@ -9,6 +9,7 @@ from .bench import default_config, load_config, run_benchmark, write_results
 from .errors import ConfigError, InvalidInputError, ProblemTooLargeError
 from .qubo import annealing_penalty, build_qubo, export_qubo
 from .solvers import SOLVER_NAMES, SOLVER_PARAMS, solve
+from .solvers.result import REPORTED_FIELDS, format_value
 from .stack import (
     DEFAULT_MAX_VARIATION,
     DEFAULT_TARGET_THICKNESS,
@@ -52,18 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show(name: str, value) -> None:
-    if value is None:
-        text = "-"
-    elif isinstance(value, bool):
-        text = "true" if value else "false"
-    elif isinstance(value, tuple):
-        text = " ".join(str(v) for v in value)
-    else:
-        text = str(value)
-    print(f"{name}: {text}")
-
-
 def _cmd_generate(args) -> int:
     stack = generate_instance(args.nd, args.ns, args.a0, args.delta, args.seed)
     write_instance(stack, args.out)
@@ -81,25 +70,17 @@ def _cmd_solve(args) -> int:
         devs,
         args.solver,
         objective=args.objective,
-        # --rho also sets the export penalty, so only a solver that reads it gets it
-        rho=args.rho if "rho" in SOLVER_PARAMS[args.solver] else None,
+        # --rho given only to set the export penalty is not the solver's
+        rho=None if args.export_qubo and "rho" not in SOLVER_PARAMS[args.solver] else args.rho,
         samples=args.samples,
         sweeps=args.sweeps,
         seed=args.seed,
         budget_seconds=args.budget,
     )
-    _show("solver", result.solver_id)
-    _show("status", "ok" if result.found_feasible else "no-feasible-sample")
-    _show("shifts", result.shifts)
-    _show("sigma", result.sigma)
-    _show("range", result.range)
-    _show("energy", result.energy)
-    _show("wall_time", result.wall_time)
-    _show("samples_total", result.samples_total)
-    _show("samples_feasible", result.samples_feasible)
-    _show("nodes_explored", result.nodes_explored)
-    _show("optimal", result.optimal)
-    _show("seed", result.seed)
+    print(f"solver: {result.solver_id}")
+    print(f"status: {result.status}")
+    for name in REPORTED_FIELDS:
+        print(f"{name}: {format_value(getattr(result, name)) or '-'}")
     return 0
 
 

@@ -32,7 +32,12 @@ SOLVER_PARAMS = {
 }
 SOLVER_NAMES = tuple(SOLVER_PARAMS)
 # the objectives each solver optimizes, its default first
-_OBJECTIVES = {"exhaustive": ("range", "sigma"), "exact": ("range",), "approx": ("range",), "sa": ("sigma",)}
+SOLVER_OBJECTIVES = {
+    "exhaustive": ("range", "sigma"),
+    "exact": ("range",),
+    "approx": ("range",),
+    "sa": ("sigma",),
+}
 
 __all__ = [
     "AnnealSchedule",
@@ -40,6 +45,7 @@ __all__ = [
     "DEFAULT_SAMPLES",
     "DEFAULT_SWEEPS",
     "SOLVER_NAMES",
+    "SOLVER_OBJECTIVES",
     "SOLVER_PARAMS",
     "SolveResult",
     "block_approximate",
@@ -84,7 +90,7 @@ def solve(
     for name, value in given.items():
         if value is not None and name not in SOLVER_PARAMS[solver]:
             raise InvalidInputError(f"{solver} does not take {name}")
-    objectives = _OBJECTIVES[solver]
+    objectives = SOLVER_OBJECTIVES[solver]
     if objective is None:
         objective = objectives[0]
     elif objective not in objectives:

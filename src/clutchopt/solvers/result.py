@@ -1,7 +1,8 @@
-"""Common result record shared by every solver."""
+"""Common result record shared by every solver, and how a result is reported."""
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -16,7 +17,8 @@ class SolveResult:
     explicit no-feasible-sample outcome of a random solver, in which case
     energy still carries the best raw value seen. optimal is True only when
     the result is proven optimal for the range metric (exact solvers that
-    ran to completion). wall_time covers the core search only.
+    ran to completion). wall_time covers the core search only. The fields
+    from shifts to seed are reported, in this order, by `clutchopt solve`.
     """
 
     solver_id: str
@@ -28,13 +30,36 @@ class SolveResult:
     samples_total: int = 1
     samples_feasible: int = 1
     nodes_explored: int | None = None
-    seed: int | None = None
     optimal: bool = False
+    seed: int | None = None
     params: dict = field(default_factory=dict)
 
     @property
     def found_feasible(self) -> bool:
         return self.shifts is not None
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.found_feasible else "no-feasible-sample"
+
+
+# the fields a solve reports, in output order; solver_id and status head the
+# CLI output, and params stays in memory
+REPORTED_FIELDS = tuple(
+    f.name for f in dataclasses.fields(SolveResult) if f.name not in ("solver_id", "params")
+)
+
+
+def format_value(value) -> str:
+    """None is empty, a bool true or false, a shift tuple space-separated;
+    str() of a float is its repr, so the text parses back exactly."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(str(v) for v in value)
+    return str(value)
 
 
 def scored(solver_id: str, devs: DeviationMatrix, shifts, t0: float, **fields) -> SolveResult:

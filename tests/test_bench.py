@@ -70,6 +70,9 @@ class TestConfig:
             ("solver exact budget=nan", "budget must be >= 0"),
             ("solver sa budget=1", "sa does not take budget"),
             ("bogus 1", "unknown key"),
+            ("solver sa samples=2 samples=3", "samples is given twice"),
+            ("solver exact objective=sigma", "exact optimizes range only"),
+            ("solver sa objective=range", "sa optimizes sigma only"),
         ],
     )
     def test_parse_errors_keep_their_reason(self, line, reason):
@@ -208,6 +211,29 @@ class TestEmitParse:
         text = emit_results(records, "jsonl")
         assert len(text.splitlines()) == len(records)
         assert parse_results(text, "jsonl") == records
+
+    def test_csv_header_is_pinned(self):
+        assert emit_results([], "csv") == (
+            "instance,n_disks,n_segments,n_vars,solver,status,sigma,range,energy,wall_time,"
+            "samples_total,samples_feasible,nodes_explored,optimal,seed,note\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fmt, bad",
+        [
+            ("csv", "nd2_ns2_i0,2,2,2"),
+            ("csv", "nd2_ns2_i0,two,2,2,exact,ok,0.1,0.2,,0.0,1,1,2,true,7,"),
+            ("csv", "nd2_ns2_i0,2,2,2,exact,ok,low,0.2,,0.0,1,1,2,true,7,"),
+            ("csv", "nd2_ns2_i0,2,2,2,exact,ok,0.1,0.2,,0.0,1,1,2,maybe,7,"),
+            ("jsonl", '{"instance": "nd2_ns2_i0",'),
+            ("jsonl", '{"warp": 1}'),
+            ("jsonl", "[1, 2]"),
+        ],
+    )
+    def test_parse_results_rejects_malformed_records(self, fmt, bad):
+        records = run_benchmark(tiny_config(sizes=((2, 2),), instances_per_size=1))
+        with pytest.raises(ConfigError, match=f"^record {len(records) + 1}: "):
+            parse_results(emit_results(records, fmt) + bad + "\n", fmt)
 
     def test_unknown_format(self):
         with pytest.raises(ConfigError):

@@ -60,6 +60,19 @@ class TestSolve:
         assert "solver: sa" in stdout
         assert "samples_total: 5" in stdout
 
+    def test_output_keys_in_order_and_none_as_dash(self, instance, capsys):
+        code, stdout, _ = run(capsys, "solve", "--instance", str(instance), "--solver", "exact")
+        assert code == 0
+        pairs = [line.split(": ", 1) for line in stdout.splitlines()]
+        assert [key for key, _ in pairs] == [
+            "solver", "status", "shifts", "sigma", "range", "energy", "wall_time",
+            "samples_total", "samples_feasible", "nodes_explored", "optimal", "seed",
+        ]
+        values = dict(pairs)
+        assert values["status"] == "ok"
+        assert values["energy"] == "-" and values["seed"] == "-"
+        assert values["nodes_explored"] == "16"
+
     def test_budget_flag(self, instance, capsys):
         code, stdout, _ = run(
             capsys, "solve", "--instance", str(instance), "--solver", "exact", "--budget", "10"
@@ -81,6 +94,13 @@ class TestSolve:
         )
         assert code == 2
         assert "exact does not take seed" in stderr
+
+    def test_rho_without_export_for_a_solver_that_does_not_read_it_exits_2(self, instance, capsys):
+        code, _, stderr = run(
+            capsys, "solve", "--instance", str(instance), "--solver", "exact", "--rho", "0.5"
+        )
+        assert code == 2
+        assert "exact does not take rho" in stderr
 
     def test_rho_sets_the_export_penalty_for_any_solver(self, instance, tmp_path, capsys):
         qubo_path = tmp_path / "model.qubo"

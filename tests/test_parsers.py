@@ -1,5 +1,8 @@
 """Every text parser rejects malformed input with the package's own errors."""
 
+from dataclasses import fields
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,10 +10,12 @@ import clutchopt as co
 from clutchopt.errors import ConfigError, InvalidInputError
 from clutchopt.stack import parse_instance
 
-# line shapes of the instance, QUBO and config formats, filled from VALUES
+COLUMNS = [f.name for f in fields(co.BenchmarkRecord)]
+# line shapes of the instance, QUBO, config and results formats, filled from VALUES
 TEMPLATES = [
     "{}", "{} {}", "{} {} {}", "QUBO {} {} {}", "# gauge_fixed {}", "# disks {} segments {}",
     "# varmap {} -> {}", "L {} {}", "Q {} {} {}", "size {} {}", "solver {} {}", "instances {}",
+    ",".join(COLUMNS), ",".join(["{}"] * len(COLUMNS)), '{{"n_disks": {}}}', "[{}]",
 ]
 VALUES = ["-1", "0", "1", "2", "0.5", "nan", "1e999", "1,0", "1,1", "x", "-", "sa", "samples=2"]
 
@@ -24,7 +29,8 @@ def lines(draw):
 @settings(max_examples=500)
 @given(st.lists(lines(), max_size=8).map("\n".join))
 def test_only_package_errors_escape(text):
-    for parse in (parse_instance, co.parse_qubo, co.parse_config):
+    results = (partial(co.parse_results, fmt=fmt) for fmt in ("csv", "jsonl"))
+    for parse in (parse_instance, co.parse_qubo, co.parse_config, *results):
         try:
             parse(text)
         except (InvalidInputError, ConfigError):
