@@ -210,6 +210,22 @@ def _uncell(column: str, text: str):
     return text == "true"
 
 
+def _unjson(column: str, value):
+    """A JSONL value as the column's annotation types it; bool is not an int."""
+    if column not in _COLUMN_TYPES:
+        raise ValueError(f"unknown column {column!r}")
+    hint = _COLUMN_TYPES[column]
+    optional = typing.get_args(hint)
+    if value is None and optional:
+        return None
+    kind = optional[0] if optional else hint
+    if kind is float and type(value) in (int, float):
+        return float(value)
+    if type(value) is not kind:
+        raise ValueError(f"{column} must be {kind.__name__}, not {value!r}")
+    return value
+
+
 def emit_results(records, fmt: str = "csv") -> str:
     """Serialize records with a stable column order; re-parsing is exact."""
     if fmt == "csv":
@@ -242,7 +258,10 @@ def parse_results(text: str, fmt: str = "csv") -> list[BenchmarkRecord]:
         elif fmt == "jsonl":
             for line in text.splitlines():
                 if line.strip():
-                    records.append(BenchmarkRecord(**json.loads(line)))
+                    values = json.loads(line)
+                    if not isinstance(values, dict):
+                        raise ValueError("not a JSON object")
+                    records.append(BenchmarkRecord(**{col: _unjson(col, v) for col, v in values.items()}))
         else:
             raise ConfigError(f"unknown output format {fmt!r}")
     except ConfigError:

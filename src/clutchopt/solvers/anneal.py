@@ -5,8 +5,22 @@ Metropolis sweep per temperature step: each variable is proposed for a
 single-bit flip once per sweep in random order and accepted with
 probability min(1, exp(-beta * dE)), so zero-cost moves always pass. The
 inverse temperature follows a geometric ladder. Chains are advanced in one
-vectorized batch; each proposal recomputes its energy delta from the
-coefficient rows, which is why a sweep costs O(samples * n_vars**2).
+vectorized batch.
+
+Each sweep first builds its proposal table, one row per position in the
+proposal order and one column per chain: the proposed variable, its flat
+index into the chain states, and its current bit, sign 1 - 2x and linear
+coefficient. A sweep proposes every variable exactly once, so the bits read
+at the start of the sweep are still current when their turn comes. The
+sweep also turns its uniforms u into thresholds log(u) / -beta, and a
+proposal is accepted when dE < threshold, which is u < exp(-beta * dE)
+without an exp per proposal (u = 0 always accepts). The two tests can
+disagree only when u lies within rounding of exp(-beta * dE).
+
+Each proposal still recomputes its energy delta from its full coefficient
+row against the current states, an O(samples * n_vars) product, so a sweep
+costs O(samples * n_vars**2); the table only removes the small numpy calls
+around that product.
 """
 
 from __future__ import annotations
@@ -112,19 +126,21 @@ def simulated_anneal(
     coupling = model.coupling
     rng = stream_rng("anneal", seed)
     x = rng.integers(0, 2, size=(samples, n)).astype(np.float64)
-    chains = np.arange(samples)
+    flat = x.reshape(-1)
+    offsets = np.arange(samples) * n
     for beta in sched.betas():
         order = np.argsort(rng.random((samples, n)), axis=1)
-        lin_ordered = model.linear[order]
         unif = rng.random((samples, n))
-        for pos in range(n):
-            v = order[:, pos]
+        var = np.ascontiguousarray(order.T)
+        cell = var + offsets
+        cur = flat[cell]
+        with np.errstate(divide="ignore"):
+            threshold = np.ascontiguousarray(np.log(unif.T) / -beta)
+        table = zip(var, cell, 1.0 - 2.0 * cur, model.linear[var], threshold, 1.0 - cur)
+        for v, c, sign, lin, limit, flipped in table:
             act = np.einsum("cn,cn->c", x, coupling[v])
-            cur = x[chains, v]
-            delta = (1.0 - 2.0 * cur) * (lin_ordered[:, pos] + act)
-            accept = unif[:, pos] < np.exp(-beta * np.maximum(delta, 0.0))
-            if accept.any():
-                x[chains[accept], v[accept]] = 1.0 - cur[accept]
+            flips = (sign * (lin + act) < limit).nonzero()[0]
+            flat[c[flips]] = flipped[flips]
 
     energies = evaluate_batch(model, x)
     best: tuple[float, tuple[int, ...]] | None = None

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from clutchopt.bench import (
@@ -32,6 +34,17 @@ def strip_wall_time(csv_text):
     rows = [line.split(",") for line in csv_text.splitlines()]
     drop = rows[0].index("wall_time")
     return ["\x1f".join(cell for i, cell in enumerate(row) if i != drop) for row in rows]
+
+
+def _jsonl_row(**overrides):
+    """A well-formed JSONL result line with some values replaced."""
+    row = {
+        "instance": "nd2_ns2_i0", "n_disks": 2, "n_segments": 2, "n_vars": 2,
+        "solver": "exact", "status": "ok", "sigma": 0.1, "range": 0.2, "energy": None,
+        "wall_time": 0.0, "samples_total": None, "samples_feasible": None,
+        "nodes_explored": 2, "optimal": True, "seed": 7, "note": "",
+    }
+    return json.dumps({**row, **overrides})
 
 
 class TestConfig:
@@ -212,6 +225,12 @@ class TestEmitParse:
         assert len(text.splitlines()) == len(records)
         assert parse_results(text, "jsonl") == records
 
+    def test_jsonl_values_typed_like_csv_cells(self):
+        (record,) = parse_results(_jsonl_row(wall_time=0, optimal=False) + "\n", "jsonl")
+        assert record.wall_time == 0.0 and isinstance(record.wall_time, float)
+        assert record.optimal is False and record.energy is None
+        assert parse_results(emit_results([record], "csv"), "csv") == [record]
+
     def test_csv_header_is_pinned(self):
         assert emit_results([], "csv") == (
             "instance,n_disks,n_segments,n_vars,solver,status,sigma,range,energy,wall_time,"
@@ -228,6 +247,11 @@ class TestEmitParse:
             ("jsonl", '{"instance": "nd2_ns2_i0",'),
             ("jsonl", '{"warp": 1}'),
             ("jsonl", "[1, 2]"),
+            ("jsonl", _jsonl_row(n_disks="two")),
+            ("jsonl", _jsonl_row(optimal="yes")),
+            ("jsonl", _jsonl_row(n_disks=True)),
+            ("jsonl", _jsonl_row(sigma="0.1")),
+            ("jsonl", _jsonl_row(instance=None)),
         ],
     )
     def test_parse_results_rejects_malformed_records(self, fmt, bad):

@@ -5,14 +5,51 @@ import pytest
 
 import clutchopt as co
 from clutchopt.errors import InvalidInputError
-from clutchopt.qubo import QuboModel
-from clutchopt.solvers import AnnealSchedule, default_beta_range, simulated_anneal
+from clutchopt.qubo import InfeasibleSample, QuboModel, decode_solution, evaluate_batch
+from clutchopt.rng import stream_rng
+from clutchopt.solvers import AnnealSchedule, default_beta_range, default_schedule, simulated_anneal
+from clutchopt.stack import canonicalize_shifts
 
 EXAMPLE = co.DeviationMatrix(np.array([[-1.5, 0.5], [-0.5, 1.5]]))
 
 
 def example_model(rho=10.0):
     return co.build_qubo(EXAMPLE, rho, gauge_fixed=True)
+
+
+def reference_anneal(model, schedule, samples, seed):
+    """One Metropolis proposal at a time, the exp form of the acceptance test.
+
+    Returns (energy, shifts, samples_feasible) as simulated_anneal reports
+    them, so the vectorized sweep can be pinned to this trajectory.
+    """
+    n = model.n_vars
+    coupling = model.coupling
+    rng = stream_rng("anneal", seed)
+    x = rng.integers(0, 2, size=(samples, n)).astype(np.float64)
+    chains = np.arange(samples)
+    for beta in schedule.betas():
+        order = np.argsort(rng.random((samples, n)), axis=1)
+        lin_ordered = model.linear[order]
+        unif = rng.random((samples, n))
+        for pos in range(n):
+            v = order[:, pos]
+            act = np.einsum("cn,cn->c", x, coupling[v])
+            cur = x[chains, v]
+            delta = (1.0 - 2.0 * cur) * (lin_ordered[:, pos] + act)
+            accept = unif[:, pos] < np.exp(-beta * np.maximum(delta, 0.0))
+            if accept.any():
+                x[chains[accept], v[accept]] = 1.0 - cur[accept]
+    energies = evaluate_batch(model, x)
+    feasible = []
+    for c in range(samples):
+        decoded = decode_solution(x[c].astype(np.int8), model)
+        if not isinstance(decoded, InfeasibleSample):
+            feasible.append((float(energies[c]), canonicalize_shifts(decoded, model.n_segments)))
+    if not feasible:
+        return float(energies.min()), None, 0
+    energy, shifts = min(feasible)
+    return energy, shifts, len(feasible)
 
 
 class TestSchedule:
@@ -74,6 +111,24 @@ class TestSimulatedAnneal:
         for seed in range(5):
             assert simulated_anneal(uphill, cold, samples=1, seed=seed).energy == 0.0
             assert simulated_anneal(downhill, cold, samples=1, seed=seed).energy == -2.0
+
+    @pytest.mark.parametrize("nd, ns", [(2, 7), (3, 6), (4, 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_trajectory_as_reference_loop(self, nd, ns, seed):
+        devs = co.deviations(co.generate_instance(nd, ns, seed=50 + seed))
+        model = co.build_qubo(devs, co.annealing_penalty(devs), gauge_fixed=True)
+        sched = default_schedule(model, 200)
+        result = simulated_anneal(model, sched, samples=7, seed=seed)
+        assert (result.energy, result.shifts, result.samples_feasible) == reference_anneal(model, sched, 7, seed)
+
+    def test_same_trajectory_without_feasible_sample(self):
+        devs = co.deviations(co.generate_instance(3, 4, seed=2))
+        model = co.build_qubo(devs, 0.01, gauge_fixed=True)
+        sched = AnnealSchedule(sweeps=1, beta_initial=1e-6, beta_final=1e-6)
+        result = simulated_anneal(model, sched, samples=7, seed=0)
+        reference = reference_anneal(model, sched, 7, 0)
+        assert reference[1] is None
+        assert (result.energy, result.shifts, result.samples_feasible) == reference
 
     def test_empty_model_rejected(self):
         devs = co.deviations(co.DiskStack(np.array([[1.0, 2.0]])))
