@@ -119,6 +119,7 @@ class BenchmarkRecord:
 _COLUMNS = tuple(f.name for f in fields(BenchmarkRecord))
 _RESULT_COLUMNS = tuple(name for name in REPORTED_FIELDS if name in _COLUMNS)
 _COLUMN_TYPES = typing.get_type_hints(BenchmarkRecord)
+_STATUSES = ("ok", "no-feasible-sample", "skip", "error")
 
 
 def default_config(
@@ -212,8 +213,6 @@ def _uncell(column: str, text: str):
 
 def _unjson(column: str, value):
     """A JSONL value as the column's annotation types it; bool is not an int."""
-    if column not in _COLUMN_TYPES:
-        raise ValueError(f"unknown column {column!r}")
     hint = _COLUMN_TYPES[column]
     optional = typing.get_args(hint)
     if value is None and optional:
@@ -224,6 +223,12 @@ def _unjson(column: str, value):
     if type(value) is not kind:
         raise ValueError(f"{column} must be {kind.__name__}, not {value!r}")
     return value
+
+
+def _record(values: dict) -> BenchmarkRecord:
+    if values["status"] not in _STATUSES:
+        raise ValueError(f"status must be one of {', '.join(_STATUSES)}, not {values['status']!r}")
+    return BenchmarkRecord(**values)
 
 
 def emit_results(records, fmt: str = "csv") -> str:
@@ -254,14 +259,17 @@ def parse_results(text: str, fmt: str = "csv") -> list[BenchmarkRecord]:
             for row in rows:
                 if len(row) != len(_COLUMNS):
                     raise ValueError(f"{len(row)} cells, expected {len(_COLUMNS)}")
-                records.append(BenchmarkRecord(**{col: _uncell(col, cell) for col, cell in zip(_COLUMNS, row)}))
+                records.append(_record({col: _uncell(col, cell) for col, cell in zip(_COLUMNS, row)}))
         elif fmt == "jsonl":
             for line in text.splitlines():
                 if line.strip():
                     values = json.loads(line)
                     if not isinstance(values, dict):
                         raise ValueError("not a JSON object")
-                    records.append(BenchmarkRecord(**{col: _unjson(col, v) for col, v in values.items()}))
+                    if values.keys() != set(_COLUMNS):
+                        wrong = sorted(values.keys() ^ set(_COLUMNS))
+                        raise ValueError(f"keys must be the {len(_COLUMNS)} columns; unknown or missing {wrong}")
+                    records.append(_record({col: _unjson(col, values[col]) for col in _COLUMNS}))
         else:
             raise ConfigError(f"unknown output format {fmt!r}")
     except ConfigError:

@@ -166,7 +166,6 @@ def test_criterion_05_metric_inequalities():
     report(5, True, "range = pos peak + neg peak, range >= Linf, Linf >= sigma on 10^4 profiles")
 
 
-@pytest.mark.slow
 def test_criterion_06_sa_efficacy_desk_scale():
     t0 = time.perf_counter()
     rng = np.random.default_rng(606)

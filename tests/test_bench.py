@@ -36,15 +36,15 @@ def strip_wall_time(csv_text):
     return ["\x1f".join(cell for i, cell in enumerate(row) if i != drop) for row in rows]
 
 
-def _jsonl_row(**overrides):
-    """A well-formed JSONL result line with some values replaced."""
+def _jsonl_row(drop=(), **overrides):
+    """A well-formed JSONL result line with some values replaced or keys dropped."""
     row = {
         "instance": "nd2_ns2_i0", "n_disks": 2, "n_segments": 2, "n_vars": 2,
         "solver": "exact", "status": "ok", "sigma": 0.1, "range": 0.2, "energy": None,
         "wall_time": 0.0, "samples_total": None, "samples_feasible": None,
         "nodes_explored": 2, "optimal": True, "seed": 7, "note": "",
     }
-    return json.dumps({**row, **overrides})
+    return json.dumps({k: v for k, v in {**row, **overrides}.items() if k not in drop})
 
 
 class TestConfig:
@@ -252,6 +252,10 @@ class TestEmitParse:
             ("jsonl", _jsonl_row(n_disks=True)),
             ("jsonl", _jsonl_row(sigma="0.1")),
             ("jsonl", _jsonl_row(instance=None)),
+            ("jsonl", _jsonl_row(warp=1)),
+            ("jsonl", _jsonl_row(drop=("sigma", "note"))),
+            ("jsonl", _jsonl_row(status="fine")),
+            ("csv", "nd2_ns2_i0,2,2,2,exact,fine,0.1,0.2,,0.0,1,1,2,true,7,"),
         ],
     )
     def test_parse_results_rejects_malformed_records(self, fmt, bad):

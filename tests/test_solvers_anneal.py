@@ -17,6 +17,11 @@ def example_model(rho=10.0):
     return co.build_qubo(EXAMPLE, rho, gauge_fixed=True)
 
 
+def annealing_model(nd, ns, seed):
+    devs = co.deviations(co.generate_instance(nd, ns, seed=50 + seed))
+    return co.build_qubo(devs, co.annealing_penalty(devs), gauge_fixed=True)
+
+
 def reference_anneal(model, schedule, samples, seed):
     """One Metropolis proposal at a time, the exp form of the acceptance test.
 
@@ -115,11 +120,30 @@ class TestSimulatedAnneal:
     @pytest.mark.parametrize("nd, ns", [(2, 7), (3, 6), (4, 5)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_trajectory_as_reference_loop(self, nd, ns, seed):
-        devs = co.deviations(co.generate_instance(nd, ns, seed=50 + seed))
-        model = co.build_qubo(devs, co.annealing_penalty(devs), gauge_fixed=True)
+        model = annealing_model(nd, ns, seed)
         sched = default_schedule(model, 200)
         result = simulated_anneal(model, sched, samples=7, seed=seed)
         assert (result.energy, result.shifts, result.samples_feasible) == reference_anneal(model, sched, 7, seed)
+
+    # Both schedules below hold stretches of sweeps in which no chain moves,
+    # which are screened against one field and skipped, and sweeps the screen
+    # lets through in which a chain then moves; three chains make the still
+    # stretches long. Both must follow the reference.
+    @pytest.mark.parametrize("nd, ns", [(2, 7), (3, 6)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_trajectory_through_still_sweeps(self, nd, ns, seed):
+        model = annealing_model(nd, ns, seed)
+        sched = default_schedule(model)
+        result = simulated_anneal(model, sched, samples=3, seed=seed)
+        assert (result.energy, result.shifts, result.samples_feasible) == reference_anneal(model, sched, 3, seed)
+
+    @pytest.mark.parametrize("nd, ns, seed", [(2, 7, 1), (3, 6, 0), (3, 6, 1)])
+    def test_same_trajectory_at_constant_cold_beta(self, nd, ns, seed):
+        model = annealing_model(nd, ns, seed)
+        beta = default_beta_range(model)[1] / 8
+        sched = AnnealSchedule(sweeps=200, beta_initial=beta, beta_final=beta)
+        result = simulated_anneal(model, sched, samples=3, seed=seed)
+        assert (result.energy, result.shifts, result.samples_feasible) == reference_anneal(model, sched, 3, seed)
 
     def test_same_trajectory_without_feasible_sample(self):
         devs = co.deviations(co.generate_instance(3, 4, seed=2))
