@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -75,16 +74,16 @@ class QuboModel:
     where k0 is 1 for gauge-fixed models and 0 otherwise. That layout is
     part of the export format, so var_map must list exactly it.
 
-    The constructor takes the strictly upper-triangular coefficients, as a
-    mapping {(i, j): coeff} with i < j or as an n_vars x n_vars array. They
-    are stored once, as the read-only symmetric float64 matrix ``coupling``
-    with a zero diagonal, and ``quadratic`` becomes a read-only view of it.
+    The constructor takes the strictly upper-triangular coefficients as an
+    n_vars x n_vars array. They are stored once, as the read-only symmetric
+    float64 matrix ``coupling`` with a zero diagonal, and ``quadratic``
+    becomes a read-only {(i, j): coeff} view of it.
     """
 
     n_vars: int
     offset: float
     linear: np.ndarray
-    quadratic: Mapping[tuple[int, int], float] | np.ndarray
+    quadratic: np.ndarray
     rho: float
     var_map: tuple[tuple[int, int], ...]
     gauge_fixed: bool
@@ -102,16 +101,9 @@ class QuboModel:
         lin = np.array(self.linear, dtype=np.float64).reshape(n)
         lin.setflags(write=False)
         object.__setattr__(self, "linear", lin)
-        if isinstance(self.quadratic, np.ndarray):
-            upper = self.quadratic
-            if upper.shape != (n, n) or np.tril(upper).any():
-                raise InvalidInputError("quadratic array must be strictly upper-triangular")
-        else:
-            i, j = np.fromiter(chain.from_iterable(self.quadratic), np.int64).reshape(-1, 2).T
-            if not np.all((0 <= i) & (i < j) & (j < n)):
-                raise InvalidInputError("quadratic keys must be variable pairs (i, j) with i < j")
-            upper = np.zeros((n, n))
-            upper[i, j] = np.fromiter(self.quadratic.values(), np.float64, len(i))
+        upper = np.asarray(self.quadratic, dtype=np.float64)
+        if upper.shape != (n, n) or np.tril(upper).any():
+            raise InvalidInputError("quadratic array must be strictly upper-triangular")
         coupling = upper + upper.T
         if not (self.rho >= 0 and all(np.isfinite(a).all() for a in (self.offset, self.rho, lin, coupling))):
             raise InvalidInputError("rho must be >= 0 and every number finite")
@@ -264,6 +256,13 @@ def evaluate(model: QuboModel, bits) -> float:
     return float(evaluate_batch(model, np.asarray(bits, dtype=np.float64)[None])[0])
 
 
+# export_qubo joins its Q lines this many at a time, parse_qubo reads its
+# text in pieces of about PARSE_BLOCK characters; both bound the transient
+# memory of the text layer
+EXPORT_CHUNK = 4096
+PARSE_BLOCK = 1 << 16
+
+
 def export_qubo(model: QuboModel, path=None) -> str:
     """Serialize to the sparse text format; re-importing is coefficient-exact.
 
@@ -272,73 +271,153 @@ def export_qubo(model: QuboModel, path=None) -> str:
     for nonzero linear terms and "Q i j coeff" (i < j) for quadratic terms,
     all at 17 significant digits. The bijection is always the fixed layout
     of QuboModel, one "# varmap v -> k,j" line per variable in order.
+
+    The Q block, nearly all of the text, is written in bulk: a model has far
+    fewer distinct coefficients than pairs, so each distinct bit pattern
+    (-0.0 apart from 0.0) is formatted once, and each line is joined from
+    three strings picked by index, "Q i ", "j " and the coefficient, in
+    chunks of EXPORT_CHUNK lines.
     """
     lines = [f"QUBO {model.n_vars} {model.offset:.17g} {model.rho:.17g}"]
     lines.append(f"# gauge_fixed {int(model.gauge_fixed)}")
     lines.append(f"# disks {model.n_disks} segments {model.n_segments}")
     lines.extend(f"# varmap {i} -> {k},{j}" for i, (k, j) in enumerate(model.var_map))
     lines.extend(f"L {i} {c:.17g}" for i, c in enumerate(model.linear.tolist()) if c != 0.0)
+    chunks = ["\n".join(lines) + "\n"]
     rows, cols = model.quadratic.pairs()
-    values = model.coupling[rows, cols].tolist()
-    lines.extend(f"Q {i} {j} {c:.17g}" for i, j, c in zip(rows.tolist(), cols.tolist(), values))
-    text = "\n".join(lines) + "\n"
+    patterns, which = np.unique(model.coupling[rows, cols].view(np.int64), return_inverse=True)
+    coeffs = np.array([f"{c:.17g}\n" for c in patterns.view(np.float64).tolist()], dtype=object)
+    firsts = np.array([f"Q {i} " for i in range(model.n_vars)], dtype=object)
+    seconds = np.array([f"{j} " for j in range(model.n_vars)], dtype=object)
+    for start in range(0, len(rows), EXPORT_CHUNK):
+        part = slice(start, start + EXPORT_CHUNK)
+        cells = np.empty((len(rows[part]), 3), dtype=object)
+        cells[:, 0], cells[:, 1], cells[:, 2] = firsts[rows[part]], seconds[cols[part]], coeffs[which[part]]
+        chunks.append("".join(cells.ravel().tolist()))
+    text = "".join(chunks)
     if path is not None:
         Path(path).write_text(text)
     return text
 
 
+def _blocks(text: str):
+    """Cut text into pieces of about PARSE_BLOCK characters, each ending after a newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + PARSE_BLOCK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _q_columns(batch: list[str], n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns i, j and coeff of a batch of stripped lines that start with Q.
+
+    The batch is tokenized at once and read by column. It must have 4n
+    tokens for n lines, and exactly n of them "Q", at positions 0, 4, 8, ...
+    Every other token must read as a number, and no number starts with Q,
+    so each line's first token is one of those "Q"s: the n lines start 4
+    tokens apart and each has exactly four. On a failure the lines are read
+    one at a time to name the first bad one.
+    """
+    n = len(batch)
+    toks = " ".join(batch).split()
+    try:
+        if not len(toks) == 4 * n == 4 * toks.count("Q") == 4 * toks[::4].count("Q"):
+            raise ValueError
+        i = np.fromiter(map(int, toks[1::4]), np.int64, n)
+        j = np.fromiter(map(int, toks[2::4]), np.int64, n)
+        coeff = np.fromiter(map(float, toks[3::4]), np.float64, n)
+        if not np.all((0 <= i) & (i < j) & (j < n_vars)):
+            raise ValueError
+    except (ValueError, OverflowError):
+        if n > 1:
+            for ln in batch:
+                _q_columns([ln], n_vars)
+        raise InvalidInputError(f"bad line: {batch[0]!r}") from None
+    return i, j, coeff
+
+
 def parse_qubo(text: str) -> QuboModel:
     """Read the export format back into a model.
 
-    The varmap lines must list the variables 0, 1, ... in order and in the
-    fixed layout of QuboModel; parsing rejects any other varmap.
+    Each line is stripped and blank lines are skipped. Every line has the
+    exact token count of its kind, numbers follow Python's int and float,
+    and an L index or Q pair given twice is rejected. Comment lines other
+    than gauge_fixed, disks and varmap are ignored. The varmap lines must
+    list the variables 0, 1, ... in order and in the fixed layout of
+    QuboModel; parsing rejects any other varmap.
+
+    The text is read in blocks of about PARSE_BLOCK characters cut at
+    newlines. Each block's Q lines are read in bulk by _q_columns, every
+    other line one at a time, and the Q coefficients go straight into the
+    upper triangle of the coupling matrix.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("QUBO "):
+    body = text.lstrip()
+    # the first line, ended wherever splitlines would end it
+    head = (body.partition("\n")[0].splitlines() or [""])[0]
+    if not head.startswith("QUBO "):
         raise InvalidInputError("missing QUBO header line")
     try:
-        _, n_vars, offset, rho = lines[0].split()
+        _, n_vars, offset, rho = head.split()
         n_vars, offset, rho = int(n_vars), float(offset), float(rho)
     except ValueError:
-        raise InvalidInputError(f"bad header: {lines[0]!r}") from None
-    # every variable needs its own varmap line, which bounds the allocation
-    if not 0 <= n_vars <= len(lines):
-        raise InvalidInputError(f"bad header: {lines[0]!r}")
+        raise InvalidInputError(f"bad header: {head.strip()!r}") from None
+    if n_vars < 0:
+        raise InvalidInputError(f"bad header: {head.strip()!r}")
 
     gauge_fixed = True
     n_disks = n_segments = None
     var_map: list[tuple[int, int]] = []
-    linear = np.zeros(n_vars)
-    quad: dict[tuple[int, int], float] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        try:
-            if parts[0] == "#":
-                if parts[1] == "gauge_fixed":
-                    gauge_fixed = {"0": False, "1": True}[parts[2]]
-                elif parts[1] == "disks":
-                    n_disks, n_segments = int(parts[2]), int(parts[4])
-                elif parts[1] == "varmap":
-                    if int(parts[2]) != len(var_map):
-                        raise InvalidInputError(f"bad line: {ln!r}")
-                    k, j = parts[4].split(",")
-                    var_map.append((int(k), int(j)))
+    lin_index: list[int] = []
+    lin_coeff: list[float] = []
+    q_parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    for block in _blocks(body[len(head) :]):
+        lines = [ln for ln in map(str.strip, block.splitlines()) if ln]
+        batch = [ln for ln in lines if ln[0] == "Q"]
+        if batch:
+            q_parts.append(_q_columns(batch, n_vars))
+        for ln in lines:
+            if ln[0] == "Q":
                 continue
-            if parts[0] == "L" and 0 <= (i := int(parts[1])) < n_vars:
-                linear[i] = float(parts[2])
-            elif parts[0] == "Q" and 0 <= (i := int(parts[1])) < (j := int(parts[2])) < n_vars:
-                quad[(i, j)] = float(parts[3])
-            else:
-                raise InvalidInputError(f"bad line: {ln!r}")
-        except (IndexError, KeyError, ValueError):
-            raise InvalidInputError(f"bad line: {ln!r}") from None
+            parts = ln.split()
+            try:
+                if parts[0] == "#":
+                    key = parts[1]
+                    if key == "gauge_fixed" and len(parts) == 3:
+                        gauge_fixed = {"0": False, "1": True}[parts[2]]
+                    elif key == "disks" and len(parts) == 5 and parts[3] == "segments":
+                        n_disks, n_segments = int(parts[2]), int(parts[4])
+                    elif key == "varmap" and len(parts) == 5 and parts[3] == "->" and int(parts[2]) == len(var_map):
+                        k, j = parts[4].split(",")
+                        var_map.append((int(k), int(j)))
+                    elif key in ("gauge_fixed", "disks", "varmap"):
+                        raise InvalidInputError(f"bad line: {ln!r}")
+                elif parts[0] == "L" and len(parts) == 3 and 0 <= (i := int(parts[1])) < n_vars:
+                    lin_index.append(i)
+                    lin_coeff.append(float(parts[2]))
+                else:
+                    raise InvalidInputError(f"bad line: {ln!r}")
+            except (IndexError, KeyError, ValueError):
+                raise InvalidInputError(f"bad line: {ln!r}") from None
     if n_disks is None or n_segments is None:
         raise InvalidInputError("missing '# disks ... segments ...' line")
+    # one varmap line per variable bounds the n_vars x n_vars allocation
+    if len(var_map) != n_vars:
+        raise InvalidInputError(f"{len(var_map)} varmap lines for {n_vars} variables")
+    if len(set(lin_index)) < len(lin_index):
+        raise InvalidInputError("an L index is given twice")
+    i, j, coeff = map(np.concatenate, zip(*q_parts))
+    if np.bincount(i * n_vars + j, minlength=1).max() > 1:
+        raise InvalidInputError("a Q pair is given twice")
+    linear = np.zeros(n_vars)
+    linear[lin_index] = lin_coeff
+    upper = np.zeros((n_vars, n_vars))
+    upper[i, j] = coeff
     return QuboModel(
         n_vars=n_vars,
         offset=offset,
         linear=linear,
-        quadratic=quad,
+        quadratic=upper,
         rho=rho,
         var_map=tuple(var_map),
         gauge_fixed=gauge_fixed,

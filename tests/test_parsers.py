@@ -14,10 +14,14 @@ COLUMNS = [f.name for f in fields(co.BenchmarkRecord)]
 # line shapes of the instance, QUBO, config and results formats, filled from VALUES
 TEMPLATES = [
     "{}", "{} {}", "{} {} {}", "QUBO {} {} {}", "# gauge_fixed {}", "# disks {} segments {}",
-    "# varmap {} -> {}", "L {} {}", "Q {} {} {}", "size {} {}", "solver {} {}", "instances {}",
+    "# varmap {} -> {}", "L {} {}", "Q {} {} {}", "L {} {} {}", "Q {} {} {} {}", "size {} {}",
+    "solver {} {}", "instances {}",
     ",".join(COLUMNS), ",".join(["{}"] * len(COLUMNS)), '{{"n_disks": {}}}', "[{}]",
 ]
-VALUES = ["-1", "0", "1", "2", "0.5", "nan", "1e999", "1,0", "1,1", "x", "-", "sa", "samples=2"]
+VALUES = [
+    "-1", "0", "1", "2", "0.5", "nan", "1e999", "1,0", "1,1", "x", "-", "sa", "samples=2",
+    "99999999999999999999",
+]
 
 
 @st.composite

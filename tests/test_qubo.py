@@ -1,3 +1,4 @@
+import re
 import itertools
 
 import numpy as np
@@ -36,6 +37,22 @@ def direct_energy(devs, rho, gauge_fixed, bits):
     for pos in range(nd - k0):
         total += rho * (sum(x[pos]) - 1) ** 2
     return total
+
+
+def reference_export(model):
+    """One f-string per line, the export format written out literally.
+
+    export_qubo writes its Q block in bulk; it must give these bytes.
+    """
+    lines = [f"QUBO {model.n_vars} {model.offset:.17g} {model.rho:.17g}"]
+    lines.append(f"# gauge_fixed {int(model.gauge_fixed)}")
+    lines.append(f"# disks {model.n_disks} segments {model.n_segments}")
+    lines.extend(f"# varmap {i} -> {k},{j}" for i, (k, j) in enumerate(model.var_map))
+    lines.extend(f"L {i} {c:.17g}" for i, c in enumerate(model.linear.tolist()) if c != 0.0)
+    rows, cols = model.quadratic.pairs()
+    values = model.coupling[rows, cols].tolist()
+    lines.extend(f"Q {i} {j} {c:.17g}" for i, j, c in zip(rows.tolist(), cols.tolist(), values))
+    return "\n".join(lines) + "\n"
 
 
 def all_assignments(n):
@@ -254,6 +271,7 @@ class TestExport:
         assert a.offset == b.offset
         assert a.rho == b.rho
         assert np.array_equal(a.linear, b.linear)
+        assert np.array_equal(a.coupling, b.coupling)
         assert dict(a.quadratic) == dict(b.quadratic)
         assert a.var_map == b.var_map
         assert a.gauge_fixed == b.gauge_fixed
@@ -262,7 +280,42 @@ class TestExport:
     @given(deviation_matrices(max_disks=3, max_segments=4), st.booleans())
     def test_round_trip_exact(self, devs, gauge_fixed):
         model = co.build_qubo(devs, co.default_penalty(devs), gauge_fixed=gauge_fixed)
-        self._assert_models_equal(co.parse_qubo(co.export_qubo(model)), model)
+        text = co.export_qubo(model)
+        assert text == reference_export(model)
+        self._assert_models_equal(co.parse_qubo(text), model)
+
+    @pytest.mark.parametrize("nd", [5, 7])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_export_bytes_at_production_size(self, nd, seed):
+        devs = co.deviations(co.generate_instance(nd, 42, 2.0, 0.1, seed=seed))
+        model = co.build_qubo(devs, co.annealing_penalty(devs), gauge_fixed=True)
+        text = co.export_qubo(model)
+        assert text == reference_export(model)
+        self._assert_models_equal(co.parse_qubo(text), model)
+
+    def test_export_keeps_negative_zero_apart(self):
+        # -0.0 on both sides of the diagonal passes the triangle check and
+        # sums to a -0.0 coupling, which equals 0.0 as a float
+        upper = np.zeros((4, 4))
+        upper[0, 1] = upper[1, 0] = -0.0
+        model = co.QuboModel(4, 0.0, np.zeros(4), upper, 1.0, ((1, 0), (1, 1), (2, 0), (2, 1)), True, 3, 2)
+        text = co.export_qubo(model)
+        assert text == reference_export(model)
+        assert text.endswith("Q 0 1 -0\nQ 2 3 0\n")
+
+    def test_whitespace_tolerated(self):
+        model = co.build_qubo(co.deviations(co.generate_instance(3, 4, seed=7)), 2.0, gauge_fixed=True)
+        canonical = co.export_qubo(model)
+        lines = canonical.splitlines()
+        messy = ["", "  " + lines[0] + " "] + [
+            ("\t" if n % 3 == 0 else " " * (n % 4)) + ln.replace(" ", " \t"[n % 2]) + "  " * (n % 2)
+            for n, ln in enumerate(lines[1:])
+        ]
+        messy[5:5] = ["", "\t", "   "]
+        text = "\r\n".join(messy) + "\r\n\r\n"
+        assert "\t" in text and "\r\n" in text and "\n \n" not in canonical
+        self._assert_models_equal(co.parse_qubo(text), co.parse_qubo(canonical))
+        self._assert_models_equal(co.parse_qubo(text), model)
 
     def test_file_round_trip(self, tmp_path):
         model = co.build_qubo(EXAMPLE, 10.0, gauge_fixed=True)
@@ -285,8 +338,43 @@ class TestExport:
             TWO_VARS.replace("1 -> 1,1", "1 -> 1,0"),
             TWO_VARS.replace("varmap 1 ->", "varmap 5 ->"),
             TWO_VARS.replace("disks 2", "disks 9"),
+            # every kind of line has an exact token count
+            TWO_VARS.replace("QUBO 2 0 1", "QUBO 2 0 1 9"),
+            TWO_VARS.replace("QUBO 2 0 1", "QUBO 2 0"),
+            TWO_VARS + "L 0 1.0 junk",
+            TWO_VARS + "L 0",
+            TWO_VARS + "Q 0 1 2.0 junk",
+            TWO_VARS + "Q 0 1",
+            TWO_VARS + "Q 0 1 2.0\nQ 0 1",
+            TWO_VARS.replace("gauge_fixed 1", "gauge_fixed 1 x"),
+            TWO_VARS.replace("disks 2 segments 2", "disks 2 segments 2 2"),
+            TWO_VARS.replace("1 -> 1,1", "1 -> 1,1 x"),
+            # and its literal keywords
+            TWO_VARS.replace("disks 2 segments 2", "disks 2 foo 2"),
+            TWO_VARS.replace("1 -> 1,1", "1 => 1,1"),
+            TWO_VARS + "Qx 0 1 2.0",
+            TWO_VARS + "Q Q 1 2.0",
+            TWO_VARS + "QUBO 2 0 1",
+            # an L index or a Q pair given twice
+            TWO_VARS + "L 0 1.0\nL 0 2.0",
+            TWO_VARS + "Q 0 1 1.0\nQ 0 1 2.0",
+            TWO_VARS + "Q 0 1 1.0\n" + " \n" * 40_000 + "Q 0 1 2.0",
+            # Q indices out of range, or beyond int64
+            TWO_VARS + "Q 1 0 1.0",
+            TWO_VARS + "Q 0 2 1.0",
+            TWO_VARS + "Q 99999999999999999999 1 1.0",
+            TWO_VARS + "Q 0 99999999999999999999 1.0",
         ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(InvalidInputError):
             co.parse_qubo(text)
+
+    def test_parse_error_names_the_bad_q_line(self):
+        model = co.build_qubo(co.deviations(co.generate_instance(3, 4, seed=7)), 2.0, gauge_fixed=True)
+        lines = co.export_qubo(model).splitlines()
+        at = len(lines) - 3
+        assert lines[at].startswith("Q ")
+        lines[at] += " junk"
+        with pytest.raises(InvalidInputError, match=re.escape(lines[at])):
+            co.parse_qubo("\n".join(lines))

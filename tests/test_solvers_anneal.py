@@ -7,6 +7,7 @@ import clutchopt as co
 from clutchopt.errors import InvalidInputError
 from clutchopt.qubo import InfeasibleSample, QuboModel, decode_solution, evaluate_batch
 from clutchopt.rng import stream_rng
+from clutchopt.solvers import anneal as anneal_module
 from clutchopt.solvers import AnnealSchedule, default_beta_range, default_schedule, simulated_anneal
 from clutchopt.stack import canonicalize_shifts
 
@@ -26,7 +27,8 @@ def reference_anneal(model, schedule, samples, seed):
     """One Metropolis proposal at a time, the exp form of the acceptance test.
 
     Returns (energy, shifts, samples_feasible) as simulated_anneal reports
-    them, so the vectorized sweep can be pinned to this trajectory.
+    them, and the final states of all chains, so the vectorized sweep can be
+    pinned to this trajectory.
     """
     n = model.n_vars
     coupling = model.coupling
@@ -52,9 +54,29 @@ def reference_anneal(model, schedule, samples, seed):
         if not isinstance(decoded, InfeasibleSample):
             feasible.append((float(energies[c]), canonicalize_shifts(decoded, model.n_segments)))
     if not feasible:
-        return float(energies.min()), None, 0
+        return (float(energies.min()), None, 0), x
     energy, shifts = min(feasible)
-    return energy, shifts, len(feasible)
+    return (energy, shifts, len(feasible)), x
+
+
+def assert_follows_reference(monkeypatch, model, schedule, samples, seed):
+    """simulated_anneal reports what reference_anneal does, and ends every chain alike.
+
+    The final states are read from the one evaluate_batch call that scores
+    them, so no chain can differ unseen behind an equal best chain.
+    """
+    states = []
+
+    def recording(m, x):
+        states.append(np.array(x))
+        return evaluate_batch(m, x)
+
+    monkeypatch.setattr(anneal_module, "evaluate_batch", recording)
+    result = simulated_anneal(model, schedule, samples=samples, seed=seed)
+    want, want_states = reference_anneal(model, schedule, samples, seed)
+    assert (result.energy, result.shifts, result.samples_feasible) == want
+    assert len(states) == 1 and np.array_equal(states[0], want_states)
+    return want
 
 
 class TestSchedule:
@@ -111,19 +133,17 @@ class TestSimulatedAnneal:
 
     def test_zero_temperature_limit_is_greedy(self):
         cold = AnnealSchedule(sweeps=50, beta_initial=1e12, beta_final=1e12)
-        uphill = QuboModel(1, 0.0, np.array([2.0]), {}, 1.0, ((1, 0),), True, 2, 1)
-        downhill = QuboModel(1, 0.0, np.array([-2.0]), {}, 1.0, ((1, 0),), True, 2, 1)
+        uphill = QuboModel(1, 0.0, np.array([2.0]), np.zeros((1, 1)), 1.0, ((1, 0),), True, 2, 1)
+        downhill = QuboModel(1, 0.0, np.array([-2.0]), np.zeros((1, 1)), 1.0, ((1, 0),), True, 2, 1)
         for seed in range(5):
             assert simulated_anneal(uphill, cold, samples=1, seed=seed).energy == 0.0
             assert simulated_anneal(downhill, cold, samples=1, seed=seed).energy == -2.0
 
     @pytest.mark.parametrize("nd, ns", [(2, 7), (3, 6), (4, 5)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_same_trajectory_as_reference_loop(self, nd, ns, seed):
+    def test_same_trajectory_as_reference_loop(self, monkeypatch, nd, ns, seed):
         model = annealing_model(nd, ns, seed)
-        sched = default_schedule(model, 200)
-        result = simulated_anneal(model, sched, samples=7, seed=seed)
-        assert (result.energy, result.shifts, result.samples_feasible) == reference_anneal(model, sched, 7, seed)
+        assert_follows_reference(monkeypatch, model, default_schedule(model, 200), 7, seed)
 
     # Both schedules below hold stretches of sweeps in which no chain moves,
     # which are screened against one field and skipped, and sweeps the screen
@@ -131,28 +151,22 @@ class TestSimulatedAnneal:
     # stretches long. Both must follow the reference.
     @pytest.mark.parametrize("nd, ns", [(2, 7), (3, 6)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_same_trajectory_through_still_sweeps(self, nd, ns, seed):
+    def test_same_trajectory_through_still_sweeps(self, monkeypatch, nd, ns, seed):
         model = annealing_model(nd, ns, seed)
-        sched = default_schedule(model)
-        result = simulated_anneal(model, sched, samples=3, seed=seed)
-        assert (result.energy, result.shifts, result.samples_feasible) == reference_anneal(model, sched, 3, seed)
+        assert_follows_reference(monkeypatch, model, default_schedule(model), 3, seed)
 
     @pytest.mark.parametrize("nd, ns, seed", [(2, 7, 1), (3, 6, 0), (3, 6, 1)])
-    def test_same_trajectory_at_constant_cold_beta(self, nd, ns, seed):
+    def test_same_trajectory_at_constant_cold_beta(self, monkeypatch, nd, ns, seed):
         model = annealing_model(nd, ns, seed)
         beta = default_beta_range(model)[1] / 8
         sched = AnnealSchedule(sweeps=200, beta_initial=beta, beta_final=beta)
-        result = simulated_anneal(model, sched, samples=3, seed=seed)
-        assert (result.energy, result.shifts, result.samples_feasible) == reference_anneal(model, sched, 3, seed)
+        assert_follows_reference(monkeypatch, model, sched, 3, seed)
 
-    def test_same_trajectory_without_feasible_sample(self):
+    def test_same_trajectory_without_feasible_sample(self, monkeypatch):
         devs = co.deviations(co.generate_instance(3, 4, seed=2))
         model = co.build_qubo(devs, 0.01, gauge_fixed=True)
         sched = AnnealSchedule(sweeps=1, beta_initial=1e-6, beta_final=1e-6)
-        result = simulated_anneal(model, sched, samples=7, seed=0)
-        reference = reference_anneal(model, sched, 7, 0)
-        assert reference[1] is None
-        assert (result.energy, result.shifts, result.samples_feasible) == reference
+        assert assert_follows_reference(monkeypatch, model, sched, 7, 0)[1] is None
 
     def test_empty_model_rejected(self):
         devs = co.deviations(co.DiskStack(np.array([[1.0, 2.0]])))
