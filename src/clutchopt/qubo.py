@@ -342,7 +342,8 @@ def parse_qubo(text: str) -> QuboModel:
 
     Each line is stripped and blank lines are skipped. Every line has the
     exact token count of its kind, numbers follow Python's int and float,
-    and an L index or Q pair given twice is rejected. Comment lines other
+    and an L index, a Q pair, a gauge_fixed line or a disks line given
+    twice is rejected; gauge_fixed defaults to 1. Comment lines other
     than gauge_fixed, disks and varmap are ignored. The varmap lines must
     list the variables 0, 1, ... in order and in the fixed layout of
     QuboModel; parsing rejects any other varmap.
@@ -365,8 +366,7 @@ def parse_qubo(text: str) -> QuboModel:
     if n_vars < 0:
         raise InvalidInputError(f"bad header: {head.strip()!r}")
 
-    gauge_fixed = True
-    n_disks = n_segments = None
+    gauge_fixed = n_disks = n_segments = None
     var_map: list[tuple[int, int]] = []
     lin_index: list[int] = []
     lin_coeff: list[float] = []
@@ -383,9 +383,10 @@ def parse_qubo(text: str) -> QuboModel:
             try:
                 if parts[0] == "#":
                     key = parts[1]
-                    if key == "gauge_fixed" and len(parts) == 3:
+                    # a second gauge_fixed or disks line falls through to the error below
+                    if key == "gauge_fixed" and len(parts) == 3 and gauge_fixed is None:
                         gauge_fixed = {"0": False, "1": True}[parts[2]]
-                    elif key == "disks" and len(parts) == 5 and parts[3] == "segments":
+                    elif key == "disks" and len(parts) == 5 and parts[3] == "segments" and n_disks is None:
                         n_disks, n_segments = int(parts[2]), int(parts[4])
                     elif key == "varmap" and len(parts) == 5 and parts[3] == "->" and int(parts[2]) == len(var_map):
                         k, j = parts[4].split(",")
@@ -420,7 +421,7 @@ def parse_qubo(text: str) -> QuboModel:
         quadratic=upper,
         rho=rho,
         var_map=tuple(var_map),
-        gauge_fixed=gauge_fixed,
+        gauge_fixed=gauge_fixed is not False,
         n_disks=n_disks,
         n_segments=n_segments,
     )

@@ -6,11 +6,14 @@ walk them in the same lex order. The trailing few disks are always
 evaluated as one vectorized block, so the Python-level loop stays short.
 
 The range solver stores that block transposed, one row per segment, and
-screens it on its first few segments: the range over a subset of segments
-never exceeds the full range, so a leaf whose head range already reaches
-the incumbent cannot improve on it. No subtree is skipped: a node bound
-such as range(p) minus the free rows' ranges rarely fires, since one row's
-range alone exceeds the optimal profile range, and saved no time where it did.
+takes the prefix profiles a batch at a time. It screens each leaf on its
+prefix's most extreme segments: the range over a subset of segments never
+exceeds the full range, so a leaf whose screened range already reaches the
+incumbent cannot improve on it, and a profile's own highest and lowest
+segments are where a leaf's maximum and minimum usually fall. No subtree
+is skipped: a node bound such as range(p) minus the free rows' ranges
+rarely fires, since one row's range alone exceeds the optimal profile
+range, and saved no time where it did.
 """
 
 from __future__ import annotations
@@ -29,8 +32,12 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 
 # largest vectorized leaf block; bounds peak memory at block * n_segments floats
 _TAIL_BLOCK = 4096
-# segments the range solver screens every leaf block on before finishing it
-_HEAD_COLUMNS = 16
+# leaves the range solver screens per batch of prefix profiles
+_BATCH_LEAVES = 8192
+# each leaf is screened on its prefix's this many highest and as many lowest segments;
+# the first batch, which faces the weak identity incumbent, on more
+_FIRST_SCREEN_EXTREMES = 8
+_SCREEN_EXTREMES = 3
 
 
 def _tail_table(shifted: np.ndarray, disks) -> np.ndarray:
@@ -40,6 +47,25 @@ def _tail_table(shifted: np.ndarray, disks) -> np.ndarray:
     for k in disks:
         table = (table[:, None, :] + shifted[k][None, :, :]).reshape(-1, ns)
     return table
+
+
+def _tail_columns(shifted: np.ndarray, disks, spare_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """_tail_table transposed to (n_segments, n_combos) from the same sums, and a spare buffer.
+
+    Both share one allocation, the buffer a flat spare_rows * n_combos floats
+    behind the table: one large block, which the allocator can map and unmap
+    whole, left a lower peak RSS than a separate table and buffer.
+    shifted[k] is symmetric, since segment j of row k rotated by s is row
+    k's segment (j + s) % n_segments, so it serves as its own transpose.
+    """
+    ns = shifted.shape[2]
+    n_combos = ns ** len(disks)
+    store = np.empty((ns + spare_rows) * n_combos)
+    columns = np.zeros((ns, 1))
+    for i, k in enumerate(disks):
+        out = store[: ns * n_combos].reshape(ns, -1, ns) if i == len(disks) - 1 else None
+        columns = np.add(columns[:, :, None], shifted[k][:, None, :], out=out).reshape(ns, -1)
+    return columns, store[ns * n_combos :]
 
 
 def _tail_split(n_free: int, n_segments: int) -> int:
@@ -55,6 +81,92 @@ def _prefix_profile(rows: np.ndarray, shifted: np.ndarray, combo) -> np.ndarray:
     for k, s in enumerate(combo, start=1):
         profile = profile + shifted[k, s]
     return profile
+
+
+def _prefix_batches(rows: np.ndarray, shifted: np.ndarray, n_pre: int, batch: int):
+    """(combos, profiles) for all n_pre prefix disks, in lex order, up to batch at a time.
+
+    The last prefix disk's shift varies within a batch, and profiles[t] is
+    _prefix_profile of combos[t], bit for bit: the other disks are summed
+    once per batch, and that sum plus the last disk's rotation is the last
+    addition _prefix_profile makes. With no prefix disks the one batch is
+    row 0 alone.
+    """
+    if n_pre == 0:
+        yield [()], rows[:1]
+        return
+    ns = rows.shape[1]
+    last = shifted[n_pre]
+    for outer in itertools.product(range(ns), repeat=n_pre - 1):
+        base = _prefix_profile(rows, shifted, outer)
+        for first in range(0, ns, batch):
+            profiles = base + last[first : first + batch]
+            yield [(*outer, s) for s in range(first, first + len(profiles))], profiles
+
+
+def _extremes(ns: int, r: int) -> np.ndarray:
+    """Positions in a row's argsort of its min(r, ns // 2) highest and as many lowest segments."""
+    r = min(r, ns // 2)
+    return np.arange(-r, r) % ns
+
+
+def _fold_ranges(table, order, ranked, cols, buf, hi=None, lo=None):
+    """Max and min, flat over (t, j), of ranked[t, p] + table[order[t, p], j] over the positions p in cols.
+
+    The blocks go through buf, as many positions at a time as it holds, and
+    are folded into hi and lo in place when those are given.
+    """
+    width = buf.size // (len(order) * table.shape[1])
+    for c in range(0, len(cols), width):
+        part = cols[c : c + width]
+        seg = order[:, part]
+        block = buf[: seg.size * table.shape[1]].reshape(*seg.shape, table.shape[1])
+        np.take(table, seg, axis=0, out=block, mode="clip")  # mode="raise" copies through a temporary
+        block += ranked[:, part, None]
+        top = block.max(axis=1).ravel()
+        bottom = block.min(axis=1).ravel()
+        if hi is None:
+            hi, lo = top, bottom
+        else:
+            np.maximum(hi, top, out=hi)
+            np.minimum(lo, bottom, out=lo)
+    return hi, lo
+
+
+def _screened_ranges(table, profiles, picks: np.ndarray, buf: np.ndarray, best: float):
+    """Full ranges of the batch's leaves that may beat best, and their flat indices (None: every leaf).
+
+    Leaf (t, j), at flat index t * n_combos + j, is profiles[t] plus column
+    j of table. It is first ranged over picks, its profile's highest and
+    lowest segments as _extremes gives them: a lower bound on its range. The leaves below
+    best are finished on every segment, gathered by column if at most a
+    quarter survive; otherwise every leaf's screen is extended over the
+    middle segments. Max and min are exact, so every range equals the dense
+    one bit for bit.
+    """
+    ns, n_combos = table.shape
+    # a stable argsort and a flat take touch less of numpy's sorting code, and so less
+    # resident memory, than the default kind and np.sort
+    order = np.argsort(profiles, axis=1, kind="stable")
+    ranked = np.take(profiles, order + np.arange(0, profiles.size, ns)[:, None])
+    hi, lo = _fold_ranges(table, order, ranked, picks, buf)
+    keep = np.flatnonzero(hi - lo < best)
+    if keep.size == 0:
+        return keep, keep
+    if 4 * keep.size <= hi.size:
+        vals = np.empty(keep.size)
+        width = buf.size // (2 * ns)
+        for c in range(0, keep.size, width):
+            row, col = np.divmod(keep[c : c + width], n_combos)
+            full, rest = buf[: 2 * ns * col.size].reshape(2, ns, col.size)
+            np.take(table, col, axis=1, out=full, mode="clip")
+            np.take(profiles.T, row, axis=1, out=rest, mode="clip")
+            full += rest
+            np.subtract(full.max(axis=0), full.min(axis=0), out=vals[c : c + width])
+        return vals, keep
+    r = len(picks) // 2
+    hi, lo = _fold_ranges(table, order, ranked, np.arange(r, ns - r), buf, hi, lo)
+    return hi - lo, None
 
 
 def _shift_vector(combo, index: int, n_segments: int, m: int) -> tuple[int, ...]:
@@ -124,56 +236,53 @@ def _deadline(t0: float, budget_seconds: float | None) -> float:
 def _range_search(rows: np.ndarray, deadline: float):
     """Range-optimal enumeration in exhaustive_search's order, sums and tie-break.
 
-    The identity shifts seed the incumbent. Each leaf block, the tail table
-    transposed to (n_segments, n_combos), is first ranged over its first
-    _HEAD_COLUMNS segments, a lower bound on each leaf's full range. Leaves
-    below the incumbent are finished on the other segments, gathered if at
-    most a quarter survive and densely otherwise; max and min are exact, so
-    every value matches the dense one bit for bit.
+    The identity shifts seed the incumbent. The prefix profiles come in
+    batches of about _BATCH_LEAVES leaves, the tail table transposed to
+    (n_segments, n_combos) is added to each, and _screened_ranges screens
+    every leaf on its profile's _SCREEN_EXTREMES highest and lowest
+    segments (_FIRST_SCREEN_EXTREMES in the first batch) before finishing
+    the survivors. The first minimum in a batch's flat (prefix, tail) order
+    is its lex-first one, and only a strictly lower range replaces the
+    incumbent. One buffer, allocated with the tail table, holds every
+    block the screen and the finish build.
 
     Returns (shifts, leaves evaluated, completed). The search stops when the
-    incumbent range is 0, which no leaf can beat, or, incomplete, when the
-    deadline has passed at the start of a block.
+    incumbent range is 0, which no leaf can beat, counting the leaves up to
+    the prefix that reached it, as a loop over single prefixes would; or,
+    incomplete, when the deadline has passed at the start of a batch.
     """
     n, ns = rows.shape
     if n == 1:
         return (0,), 1, True
     shifted = rotations(rows)
     m = _tail_split(n - 1, ns)
-    table = np.ascontiguousarray(_tail_table(shifted, range(n - m, n)).T)
-    head, n_combos = min(_HEAD_COLUMNS, ns), table.shape[1]
-    best_key = ((0,) * (n - 1 - m), 0)
+    n_pre, n_combos = n - 1 - m, ns**m
+    batch = max(1, _BATCH_LEAVES // n_combos) if n_pre else 1
+    screen, later = _extremes(ns, _FIRST_SCREEN_EXTREMES), _extremes(ns, _SCREEN_EXTREMES)
+    # one buffer per search: a block this size allocated per batch would be a fresh mmap each time
+    table, buf = _tail_columns(shifted, range(n - m, n), max(batch * len(later), len(screen)))
+    best_key = ((0,) * n_pre, 0)
     best = float(np.ptp(_prefix_profile(rows, shifted, best_key[0]) + table[:, 0]))
     leaves = 0
     completed = True
-    for combo in itertools.product(range(ns), repeat=n - 1 - m):
+    for combos, profiles in _prefix_batches(rows, shifted, n_pre, batch):
         if best == 0.0:
             break
         if time.perf_counter() > deadline:
             completed = False
             break
-        profile = _prefix_profile(rows, shifted, combo)
-        leaves += n_combos
-        block = profile[:head, None] + table[:head]
-        hi = block.max(axis=0)
-        lo = block.min(axis=0)
-        del block  # freed before a dense finish allocates the rest of the block
-        keep = np.flatnonzero(hi - lo < best)
-        if keep.size == 0:
+        leaves += len(combos) * n_combos
+        vals, keep = _screened_ranges(table, profiles, screen, buf, best)
+        screen = later
+        if vals.size == 0:
             continue
-        if 4 * keep.size <= n_combos:
-            hi, lo, rest = hi[keep], lo[keep], table[head:, keep]
-        else:
-            keep, rest = None, table[head:]
-        if head < ns:
-            rest = profile[head:, None] + rest
-            np.maximum(hi, rest.max(axis=0), out=hi)
-            np.minimum(lo, rest.min(axis=0), out=lo)
-        vals = hi - lo
         i = int(np.argmin(vals))
         if vals[i] < best:
             best = float(vals[i])
-            best_key = (combo, i if keep is None else int(keep[i]))
+            t, j = divmod(i if keep is None else int(keep[i]), n_combos)
+            best_key = (combos[t], j)
+            if best == 0.0:
+                leaves -= (len(combos) - 1 - t) * n_combos
     return _shift_vector(*best_key, ns, m), leaves, completed
 
 

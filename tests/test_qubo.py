@@ -359,6 +359,10 @@ class TestExport:
             TWO_VARS + "L 0 1.0\nL 0 2.0",
             TWO_VARS + "Q 0 1 1.0\nQ 0 1 2.0",
             TWO_VARS + "Q 0 1 1.0\n" + " \n" * 40_000 + "Q 0 1 2.0",
+            # a gauge_fixed or disks line given twice, even with the same value
+            TWO_VARS + "# gauge_fixed 1",
+            TWO_VARS + "# disks 2 segments 2",
+            TWO_VARS.replace("QUBO 2 0 1\n", "QUBO 2 0 1\n# disks 9 segments 9\n# gauge_fixed 0\n"),
             # Q indices out of range, or beyond int64
             TWO_VARS + "Q 1 0 1.0",
             TWO_VARS + "Q 0 2 1.0",

@@ -132,7 +132,8 @@ class TestBranchAndBound:
         sigma, spread = co.shift_metrics(devs, result.shifts)
         assert spread == pytest.approx(result.range, rel=1e-9)
 
-    @pytest.mark.parametrize("nd, ns", [(3, 42), (4, 20), (4, 42)])
+    # (4, 42): batches of 4 prefixes, the last of 2; (5, 10) to (6, 10): one or more outer prefix disks
+    @pytest.mark.parametrize("nd, ns", [(3, 42), (4, 20), (4, 42), (4, 24), (5, 10), (6, 10), (5, 20)])
     def test_oracle_equivalence_past_the_head_screen(self, nd, ns):
         # more segments than the head screen covers, so survivors are finished on the rest
         for seed in range(3):
@@ -161,7 +162,7 @@ class TestBranchAndBound:
         devs = co.deviations(co.generate_instance(4, 42, seed=1))
         assert co.branch_and_bound(devs).nodes_explored == 42**3
 
-    @pytest.mark.parametrize("nd, ns", [(3, 24), (4, 24), (5, 10)])
+    @pytest.mark.parametrize("nd, ns", [(3, 24), (4, 24), (5, 10), (4, 42), (6, 10), (5, 20)])
     def test_ties_break_like_exhaustive(self, nd, ns):
         # centred integer rows: every sum is exact, so optima tie exactly
         for seed in range(12, 30):
@@ -169,6 +170,53 @@ class TestBranchAndBound:
             rows[:, -1] -= rows.sum(axis=1)
             devs = co.DeviationMatrix(rows)
             assert co.branch_and_bound(devs).shifts == co.exhaustive_search(devs, "range").shifts
+
+    @given(
+        st.integers(4, 6).flatmap(
+            lambda nd: st.integers(3, 10).flatmap(
+                lambda ns: st.lists(
+                    st.lists(st.integers(-2, 2), min_size=ns, max_size=ns), min_size=nd, max_size=nd
+                )
+            )
+        )
+    )
+    def test_integer_rows_match_exhaustive(self, cells):
+        # small integers: every sum is exact, so optima tie and the lex-first one must win
+        rows = np.array(cells, dtype=float)
+        rows[:, -1] -= rows.sum(axis=1)
+        devs = co.DeviationMatrix(rows)
+        exact = co.branch_and_bound(devs)
+        oracle = co.exhaustive_search(devs, objective="range")
+        assert exact.shifts == oracle.shifts
+        assert exact.range == oracle.range
+        assert exact.optimal
+
+    @pytest.mark.parametrize(
+        "nd, ns, prefix, leaves",
+        # batches of 4, 8 and 8 prefixes; the zero falls inside one, after an outer prefix disk in the last case
+        [(4, 42, (5,), 6 * 42**2), (5, 10, (3,), 4 * 10**3), (6, 10, (1, 2), 13 * 10**3)],
+    )
+    def test_zero_range_stops_after_its_prefix(self, nd, ns, prefix, leaves):
+        # the prefix disks at these shifts cancel disk 0 exactly; the tail disks are flat
+        rows = np.zeros((nd, ns))
+        rows[0] = np.random.default_rng(ns).integers(-3, 4, size=ns)
+        rows[0, -1] -= rows[0].sum()
+        for k, shift in enumerate(prefix, start=1):
+            rows[k] = np.roll(-rows[0] / len(prefix), shift)
+        result = co.branch_and_bound(co.DeviationMatrix(rows))
+        assert result.range == 0.0
+        assert result.shifts == (0, *prefix) + (0,) * (nd - 1 - len(prefix))
+        assert result.nodes_explored == leaves
+
+    def test_budget_expiry_stops_at_a_batch_boundary(self):
+        devs = co.deviations(co.generate_instance(7, 42, seed=3))
+        result = co.branch_and_bound(devs, budget_seconds=0.2)
+        assert not result.optimal
+        # every batch screens whole prefixes of 42**2 tail leaves each
+        assert 0 < result.nodes_explored < 42**6
+        assert result.nodes_explored % 42**2 == 0
+        assert result.range == co.range_metric(co.apply_shifts(devs, result.shifts))
+        assert result.range <= co.range_metric(co.apply_shifts(devs, (0,) * 7))
 
     @pytest.mark.parametrize("nd, ns", [(8, 6), (9, 6)])
     def test_completed_run_reaches_every_leaf(self, nd, ns):
