@@ -10,10 +10,13 @@ takes the prefix profiles a batch at a time. It screens each leaf on its
 prefix's most extreme segments: the range over a subset of segments never
 exceeds the full range, so a leaf whose screened range already reaches the
 incumbent cannot improve on it, and a profile's own highest and lowest
-segments are where a leaf's maximum and minimum usually fall. No subtree
-is skipped: a node bound such as range(p) minus the free rows' ranges
-rarely fires, since one row's range alone exceeds the optimal profile
-range, and saved no time where it did.
+segments are where a leaf's maximum and minimum usually fall. After the
+first batch the screen runs in float32, on values scaled by a power of two
+into (-1, 1), against a margin that covers its rounding; the few survivors
+are finished in float64 with exhaustive_search's sums. No subtree is
+skipped: a node bound such as range(p) minus the free rows' ranges rarely
+fires, since one row's range alone exceeds the optimal profile range, and
+saved no time where it did.
 """
 
 from __future__ import annotations
@@ -33,11 +36,13 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 # largest vectorized leaf block; bounds peak memory at block * n_segments floats
 _TAIL_BLOCK = 4096
 # leaves the range solver screens per batch of prefix profiles
-_BATCH_LEAVES = 8192
+_BATCH_LEAVES = 16384
 # each leaf is screened on its prefix's this many highest and as many lowest segments;
 # the first batch, which faces the weak identity incumbent, on more
 _FIRST_SCREEN_EXTREMES = 8
 _SCREEN_EXTREMES = 3
+# slack of the float32 screen on values scaled into (-1, 1), 16 * 2**-24: see _screened_ranges
+_SINGLE_MARGIN = 2.0**-20
 
 
 def _tail_table(shifted: np.ndarray, disks) -> np.ndarray:
@@ -133,27 +138,49 @@ def _fold_ranges(table, order, ranked, cols, buf, hi=None, lo=None):
     return hi, lo
 
 
-def _screened_ranges(table, profiles, picks: np.ndarray, buf: np.ndarray, best: float):
+def _screened_ranges(table, profiles, picks: np.ndarray, buf: np.ndarray, best: float, scaled=None):
     """Full ranges of the batch's leaves that may beat best, and their flat indices (None: every leaf).
 
     Leaf (t, j), at flat index t * n_combos + j, is profiles[t] plus column
     j of table. It is first ranged over picks, its profile's highest and
-    lowest segments as _extremes gives them: a lower bound on its range. The leaves below
-    best are finished on every segment, gathered by column if at most a
-    quarter survive; otherwise every leaf's screen is extended over the
+    lowest segments as _extremes gives them: a lower bound on its range.
+
+    Without scaled the screen runs in float64 and keeps the leaves below
+    best. They are finished on every segment, gathered by column if at most
+    a quarter survive; otherwise every leaf's screen is extended over the
     middle segments. Max and min are exact, so every range equals the dense
     one bit for bit.
+
+    With scaled = (table32, e), table32 being table * 2**-e in float32 and
+    every leaf value times 2**-e in (-1, 1), the screen runs in float32 on
+    half the bytes, through buf viewed as float32. A leaf is kept when its
+    screened range is below best * 2**-e + _SINGLE_MARGIN. Below 1, float32
+    rounds with an error of at most 2**-25, and below 2 of at most 2**-24:
+    so the four inputs of a screened range (a profile and a table value at
+    each end) cost at most 4 * 2**-25, the two adds and the subtract at most
+    3 * 2**-24, and the threshold, below 2 + 2**-20, at most 2**-23; 7 * 2**-24
+    in all, which the margin of 16 * 2**-24 covers twice over (the float64
+    sums the finish uses are far closer still). Every leaf whose float64
+    range is below best is therefore kept. The survivors are always
+    gathered and finished in float64, so their ranges are the same.
     """
     ns, n_combos = table.shape
     # a stable argsort and a flat take touch less of numpy's sorting code, and so less
     # resident memory, than the default kind and np.sort
     order = np.argsort(profiles, axis=1, kind="stable")
     ranked = np.take(profiles, order + np.arange(0, profiles.size, ns)[:, None])
-    hi, lo = _fold_ranges(table, order, ranked, picks, buf)
-    keep = np.flatnonzero(hi - lo < best)
+    if scaled is None:
+        hi, lo = _fold_ranges(table, order, ranked, picks, buf)
+        keep = np.flatnonzero(hi - lo < best)
+    else:
+        table32, e = scaled
+        ranked32 = np.ldexp(ranked, -e).astype(np.float32)
+        hi, lo = _fold_ranges(table32, order, ranked32, picks, buf.view(np.float32))
+        hi -= lo
+        keep = np.flatnonzero(hi < np.float32(math.ldexp(best, -e) + _SINGLE_MARGIN))
     if keep.size == 0:
         return keep, keep
-    if 4 * keep.size <= hi.size:
+    if scaled is not None or 4 * keep.size <= hi.size:
         vals = np.empty(keep.size)
         width = buf.size // (2 * ns)
         for c in range(0, keep.size, width):
@@ -167,6 +194,20 @@ def _screened_ranges(table, profiles, picks: np.ndarray, buf: np.ndarray, best: 
     r = len(picks) // 2
     hi, lo = _fold_ranges(table, order, ranked, np.arange(r, ns - r), buf, hi, lo)
     return hi - lo, None
+
+
+def _single_precision(table: np.ndarray, rows: np.ndarray, store: np.ndarray):
+    """table * 2**-e as float32, written into store, and e: every leaf value times 2**-e lies in (-1, 1).
+
+    e is the binary exponent of S, the sum over rows of their largest
+    absolute value, so S * 2**-e < 1; no leaf value exceeds S in magnitude.
+    Scaling by a power of two is exact, and it keeps the float32 values
+    clear of overflow at large magnitudes and of underflow at small ones.
+    """
+    e = int(np.frexp(np.abs(rows).max(axis=1).sum())[1])
+    table32 = store.view(np.float32)[: table.size].reshape(table.shape)
+    np.ldexp(table, -e, out=table32)
+    return table32, e
 
 
 def _shift_vector(combo, index: int, n_segments: int, m: int) -> tuple[int, ...]:
@@ -240,11 +281,19 @@ def _range_search(rows: np.ndarray, deadline: float):
     batches of about _BATCH_LEAVES leaves, the tail table transposed to
     (n_segments, n_combos) is added to each, and _screened_ranges screens
     every leaf on its profile's _SCREEN_EXTREMES highest and lowest
-    segments (_FIRST_SCREEN_EXTREMES in the first batch) before finishing
-    the survivors. The first minimum in a batch's flat (prefix, tail) order
-    is its lex-first one, and only a strictly lower range replaces the
-    incumbent. One buffer, allocated with the tail table, holds every
-    block the screen and the finish build.
+    segments before finishing the survivors. The first batch, which faces
+    the weak identity incumbent, is screened in float64 on
+    _FIRST_SCREEN_EXTREMES and extended densely when many survive; with no
+    prefix disks it is the only batch, as in every sub-search of
+    block_approximate at 42 segments, and there a float32 screen with an
+    always-gathered finish cost more than it saved. Every later batch
+    is screened in float32 and gathered. The first minimum in a batch's
+    flat (prefix, tail) order is its lex-first one, and only a strictly
+    lower range replaces the incumbent. One allocation, made with the tail
+    table, holds the float32 copy of the table, written for the second
+    batch, and every block the screen and the finish build. The float32
+    screen reads the float64 buffer through a float32 view, so its batches
+    hold twice the leaves the same bytes would hold in float64.
 
     Returns (shifts, leaves evaluated, completed). The search stops when the
     incumbent range is 0, which no leaf can beat, counting the leaves up to
@@ -258,22 +307,30 @@ def _range_search(rows: np.ndarray, deadline: float):
     m = _tail_split(n - 1, ns)
     n_pre, n_combos = n - 1 - m, ns**m
     batch = max(1, _BATCH_LEAVES // n_combos) if n_pre else 1
-    screen, later = _extremes(ns, _FIRST_SCREEN_EXTREMES), _extremes(ns, _SCREEN_EXTREMES)
+    first, later = _extremes(ns, _FIRST_SCREEN_EXTREMES), _extremes(ns, _SCREEN_EXTREMES)
+    # in rows of n_combos floats: the float32 table, then the float32 screen's blocks
+    copy_rows = -(-ns // 2) if n_pre else 0
+    spare_rows = max(len(first), copy_rows + -(-batch * len(later) // 2))
     # one buffer per search: a block this size allocated per batch would be a fresh mmap each time
-    table, buf = _tail_columns(shifted, range(n - m, n), max(batch * len(later), len(screen)))
+    table, spare = _tail_columns(shifted, range(n - m, n), spare_rows)
     best_key = ((0,) * n_pre, 0)
     best = float(np.ptp(_prefix_profile(rows, shifted, best_key[0]) + table[:, 0]))
     leaves = 0
     completed = True
+    scaled, buf = None, spare[copy_rows * n_combos :]
     for combos, profiles in _prefix_batches(rows, shifted, n_pre, batch):
         if best == 0.0:
             break
         if time.perf_counter() > deadline:
             completed = False
             break
+        if leaves == 0:  # the first batch
+            vals, keep = _screened_ranges(table, profiles, first, spare, best)
+        else:
+            if scaled is None:
+                scaled = _single_precision(table, rows, spare)
+            vals, keep = _screened_ranges(table, profiles, later, buf, best, scaled)
         leaves += len(combos) * n_combos
-        vals, keep = _screened_ranges(table, profiles, screen, buf, best)
-        screen = later
         if vals.size == 0:
             continue
         i = int(np.argmin(vals))

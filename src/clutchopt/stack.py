@@ -158,10 +158,22 @@ def _profile_values(profile) -> np.ndarray:
     return arr
 
 
+def _root_mean_square(d: np.ndarray, count: int) -> float:
+    """sqrt(sum(d * d) / count), with d scaled so its squares neither overflow nor underflow.
+
+    The scale is 2**-e, e the binary exponent of max |d|. A power of two is
+    exact in binary floating point, so wherever the unscaled squares stay
+    normal the result is the unscaled one bit for bit.
+    """
+    e = math.frexp(np.abs(d).max())[1]
+    scaled = np.ldexp(d, -e)
+    return math.ldexp(math.sqrt(float(np.sum(scaled * scaled)) / count), e)
+
+
 def stddev(profile) -> float:
     """Root mean square of the profile (its mean is zero, so no recentering)."""
     d = _profile_values(profile)
-    return float(np.sqrt(np.sum(d * d) / d.shape[0]))
+    return _root_mean_square(d, d.shape[0])
 
 
 def range_metric(profile) -> float:
@@ -180,7 +192,7 @@ def ln_norm(profile, n) -> float:
     if n == 1:
         return float(np.abs(d).sum())
     if n == 2:
-        return float(np.sqrt(np.sum(d * d)))
+        return _root_mean_square(d, 1)
     return float(np.sum(np.abs(d) ** n) ** (1.0 / n))
 
 

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import clutchopt as co
 from clutchopt.errors import InvalidInputError, ProblemTooLargeError
+from clutchopt.solvers import exact as exact_module
 
 EXAMPLE = co.DeviationMatrix(np.array([[-1.5, 0.5], [-0.5, 1.5]]))
 
@@ -31,6 +33,19 @@ def random_devs(rng, max_leaves=10_000):
         if ns ** (nd - 1) <= max_leaves:
             break
     return co.deviations(co.generate_instance(nd, ns, seed=int(rng.integers(1 << 31))))
+
+
+def near_tie_rows(seed):
+    """4x42 rows whose optimal range beats the next by about 1e-10 of itself, below float32's resolution.
+
+    Disk 1 is 1e-10 the size of disk 0 and the tail disks are flat, so disk
+    1's shift alone decides the range, and for seeds 0 to 5 its best shift
+    lies in a float32 batch (shift 9 or later).
+    """
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((4, 42))
+    rows[:2] = rng.normal(size=(2, 42)) * [[1.0], [1e-10]]
+    return rows - rows.mean(axis=1, keepdims=True)
 
 
 class TestExhaustive:
@@ -132,10 +147,20 @@ class TestBranchAndBound:
         sigma, spread = co.shift_metrics(devs, result.shifts)
         assert spread == pytest.approx(result.range, rel=1e-9)
 
-    # (4, 42): batches of 4 prefixes, the last of 2; (5, 10) to (6, 10): one or more outer prefix disks
-    @pytest.mark.parametrize("nd, ns", [(3, 42), (4, 20), (4, 42), (4, 24), (5, 10), (6, 10), (5, 20)])
-    def test_oracle_equivalence_past_the_head_screen(self, nd, ns):
+    # (3, 42): no prefix disk, one float64 batch; (4, 42): batches of 9 prefixes, the last of 6;
+    # (6, 10) and (5, 20): one batch per outer prefix disk's shift. At (4, 20), (4, 24) and
+    # (5, 10) all prefixes fit in one batch, so batches are shrunk to reach the float32 screen.
+    @pytest.mark.parametrize(
+        "nd, ns, batch_leaves",
+        [
+            (3, 42, None), (4, 20, 2048), (4, 42, None), (4, 24, 2048),
+            (5, 10, 2048), (6, 10, None), (5, 20, None),
+        ],
+    )
+    def test_oracle_equivalence_past_the_head_screen(self, nd, ns, batch_leaves, monkeypatch):
         # more segments than the head screen covers, so survivors are finished on the rest
+        if batch_leaves:
+            monkeypatch.setattr(exact_module, "_BATCH_LEAVES", batch_leaves)
         for seed in range(3):
             devs = co.deviations(co.generate_instance(nd, ns, seed=seed))
             exact = co.branch_and_bound(devs)
@@ -162,9 +187,14 @@ class TestBranchAndBound:
         devs = co.deviations(co.generate_instance(4, 42, seed=1))
         assert co.branch_and_bound(devs).nodes_explored == 42**3
 
-    @pytest.mark.parametrize("nd, ns", [(3, 24), (4, 24), (5, 10), (4, 42), (6, 10), (5, 20)])
-    def test_ties_break_like_exhaustive(self, nd, ns):
-        # centred integer rows: every sum is exact, so optima tie exactly
+    @pytest.mark.parametrize(
+        "nd, ns, batch_leaves",
+        [(3, 24, None), (4, 24, 2048), (5, 10, 2048), (4, 42, None), (6, 10, None), (5, 20, None)],
+    )
+    def test_ties_break_like_exhaustive(self, nd, ns, batch_leaves, monkeypatch):
+        # centred integer rows: every sum is exact, so optima tie exactly; batch_leaves as above
+        if batch_leaves:
+            monkeypatch.setattr(exact_module, "_BATCH_LEAVES", batch_leaves)
         for seed in range(12, 30):
             rows = np.random.default_rng(seed).integers(-2, 3, size=(nd, ns)).astype(float)
             rows[:, -1] -= rows.sum(axis=1)
@@ -193,8 +223,9 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize(
         "nd, ns, prefix, leaves",
-        # batches of 4, 8 and 8 prefixes; the zero falls inside one, after an outer prefix disk in the last case
-        [(4, 42, (5,), 6 * 42**2), (5, 10, (3,), 4 * 10**3), (6, 10, (1, 2), 13 * 10**3)],
+        # batches of 9, 16 and 16 prefixes; the zero falls inside the second batch (float32), the
+        # first and only one (float64), and the batch after an outer prefix disk's first (float32)
+        [(4, 42, (12,), 13 * 42**2), (5, 10, (3,), 4 * 10**3), (6, 10, (1, 2), 13 * 10**3)],
     )
     def test_zero_range_stops_after_its_prefix(self, nd, ns, prefix, leaves):
         # the prefix disks at these shifts cancel disk 0 exactly; the tail disks are flat
@@ -207,6 +238,37 @@ class TestBranchAndBound:
         assert result.range == 0.0
         assert result.shifts == (0, *prefix) + (0,) * (nd - 1 - len(prefix))
         assert result.nodes_explored == leaves
+
+    @given(
+        st.integers(6, 10).flatmap(
+            lambda ns: st.lists(st.lists(st.integers(-2, 2), min_size=ns, max_size=ns), min_size=6, max_size=6)
+        )
+    )
+    def test_integer_rows_at_six_disks_match_exhaustive_in_float32_batches(self, cells):
+        # one prefix per batch: from 6 segments on there are at least 6 prefixes, so every
+        # example screens at least 5 batches in float32; integer rows make optima tie
+        rows = np.array(cells, dtype=float)
+        rows[:, -1] -= rows.sum(axis=1)
+        devs = co.DeviationMatrix(rows)
+        with mock.patch.object(exact_module, "_BATCH_LEAVES", 1):
+            exact = co.branch_and_bound(devs)
+        oracle = co.exhaustive_search(devs, objective="range")
+        assert exact.shifts == oracle.shifts
+        assert exact.range == oracle.range
+        assert exact.optimal
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-40, 1.0, 1e39, 1e300])
+    def test_float32_screen_at_extreme_magnitudes(self, scale):
+        # 4x42 screens 4 of its 5 batches in float32; unscaled, float32 overflows at 1e300 and
+        # at 1e39 rounds far beyond the margin, and without the margin the near ties are lost
+        instances = [co.deviations(co.generate_instance(4, 42, seed=seed)).devs for seed in range(2)]
+        for rows in instances + [near_tie_rows(seed) for seed in range(3)]:
+            devs = co.DeviationMatrix(rows * scale)
+            exact = co.branch_and_bound(devs)
+            oracle = co.exhaustive_search(devs, objective="range")
+            assert exact.shifts == oracle.shifts
+            assert exact.range == oracle.range
+            assert exact.nodes_explored == 42**3
 
     def test_budget_expiry_stops_at_a_batch_boundary(self):
         devs = co.deviations(co.generate_instance(7, 42, seed=3))

@@ -136,6 +136,28 @@ class TestMetrics:
         assert co.ln_norm(profile, math.inf) == 2.0
         assert co.ln_norm(co.SegmentProfile(np.zeros(2)), 3) == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-300, 3e-200, 1e-160, 1e160, 3e200, 1e300])
+    def test_stddev_and_l2_at_extreme_magnitudes(self, scale):
+        # squared directly, 3e200 overflows to inf and 3e-200 underflows to 0
+        with np.errstate(all="raise"):
+            assert co.stddev(np.array([scale, -scale])) == scale
+            assert co.ln_norm(np.array([3 * scale, -4 * scale]), 2) == pytest.approx(5 * scale, rel=1e-15)
+
+    def test_stddev_and_l2_bit_identical_at_ordinary_magnitudes(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            d = rng.normal(size=int(rng.integers(1, 50))) * 10.0 ** rng.uniform(-100, 100)
+            assert co.stddev(d) == float(np.sqrt(np.sum(d * d) / d.size))
+            assert co.ln_norm(d, 2) == float(np.sqrt(np.sum(d * d)))
+
+    def test_solve_reports_finite_sigma_at_large_magnitudes(self):
+        devs = co.deviations(co.generate_instance(3, 6, seed=1))
+        big = co.DeviationMatrix(devs.devs * 1e200)
+        got = co.solve(big, "exact")
+        assert got.shifts == co.solve(devs, "exact").shifts
+        sigma, _ = co.shift_metrics(devs, got.shifts)
+        assert got.sigma == pytest.approx(sigma * 1e200, rel=1e-12)
+
     def test_ln_norm_rejects_bad_order(self):
         profile = co.SegmentProfile(np.array([1.0, -1.0]))
         for bad in (0, -1, 1.5, True):
