@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .stack import DeviationMatrix, ShiftVector, rotations
+from .stack import DeviationMatrix, ShiftVector, _as_shift_vector, rotations
 
 # cross-disk couplings smaller than this fraction of the largest coefficient
 # are dropped; lossy only below numerical noise
@@ -112,8 +112,7 @@ class QuboModel:
         object.__setattr__(self, "quadratic", _PairView(coupling, ns))
 
     def encode(self, shifts) -> np.ndarray:
-        if len(shifts) != self.n_disks:
-            raise InvalidInputError(f"expected {self.n_disks} shifts, got {len(shifts)}")
+        shifts = _as_shift_vector(shifts, self.n_segments, self.n_disks)
         return encode_shifts(shifts, self.n_segments, self.gauge_fixed)
 
 
@@ -213,14 +212,10 @@ def annealing_penalty(devs: DeviationMatrix) -> float:
 
 def encode_shifts(shifts, n_segments: int, gauge_fixed: bool = True) -> np.ndarray:
     """One-hot encode a shift vector into a flat binary assignment."""
-    s = tuple(int(v) for v in shifts)
-    for v in s:
-        if not 0 <= v < n_segments:
-            raise InvalidInputError(f"shift {v} outside [0, {n_segments})")
-    if gauge_fixed:
-        if not s or s[0] != 0:
-            raise InvalidInputError("gauge-fixed encoding requires shift 0 for disk 0; canonicalize first")
-        s = s[1:]
+    s = _as_shift_vector(shifts, n_segments)
+    if gauge_fixed and s[0] != 0:
+        raise InvalidInputError("gauge-fixed encoding requires shift 0 for disk 0; canonicalize first")
+    s = s[1:] if gauge_fixed else s
     bits = np.zeros(len(s) * n_segments, dtype=np.uint8)
     bits[np.arange(len(s)) * n_segments + np.array(s, dtype=np.int64)] = 1
     return bits

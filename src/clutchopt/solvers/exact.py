@@ -6,17 +6,15 @@ walk them in the same lex order. The trailing few disks are always
 evaluated as one vectorized block, so the Python-level loop stays short.
 
 The range solver stores that block transposed, one row per segment, and
-takes the prefix profiles a batch at a time. It screens each leaf on its
-prefix's most extreme segments: the range over a subset of segments never
-exceeds the full range, so a leaf whose screened range already reaches the
-incumbent cannot improve on it, and a profile's own highest and lowest
-segments are where a leaf's maximum and minimum usually fall. After the
-first batch the screen runs in float32, on values scaled by a power of two
-into (-1, 1), against a margin that covers its rounding; the few survivors
-are finished in float64 with exhaustive_search's sums. No subtree is
-skipped: a node bound such as range(p) minus the free rows' ranges rarely
-fires, since one row's range alone exceeds the optimal profile range, and
-saved no time where it did.
+takes the prefix profiles a batch at a time. The first batch is ranged on
+every segment; later batches are screened in float32 on each profile's
+most extreme segments, where a leaf's maximum and minimum usually fall.
+The range over a subset of segments never exceeds the full range, so a
+leaf whose screened range reaches the incumbent, less a margin for the
+rounding, cannot improve on it; the few survivors are finished in float64
+with exhaustive_search's sums. No subtree is skipped: a node bound such as
+range(p) minus the free rows' ranges rarely fires, since one row's range
+alone exceeds the optimal profile range, and saved no time where it did.
 """
 
 from __future__ import annotations
@@ -37,9 +35,7 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 _TAIL_BLOCK = 4096
 # leaves the range solver screens per batch of prefix profiles
 _BATCH_LEAVES = 16384
-# each leaf is screened on its prefix's this many highest and as many lowest segments;
-# the first batch, which faces the weak identity incumbent, on more
-_FIRST_SCREEN_EXTREMES = 8
+# each leaf after the first batch is screened on its prefix's this many highest and as many lowest segments
 _SCREEN_EXTREMES = 3
 # slack of the float32 screen on values scaled into (-1, 1), 16 * 2**-24: see _screened_ranges
 _SINGLE_MARGIN = 2.0**-20
@@ -109,18 +105,12 @@ def _prefix_batches(rows: np.ndarray, shifted: np.ndarray, n_pre: int, batch: in
             yield [(*outer, s) for s in range(first, first + len(profiles))], profiles
 
 
-def _extremes(ns: int, r: int) -> np.ndarray:
-    """Positions in a row's argsort of its min(r, ns // 2) highest and as many lowest segments."""
-    r = min(r, ns // 2)
-    return np.arange(-r, r) % ns
-
-
-def _fold_ranges(table, order, ranked, cols, buf, hi=None, lo=None):
+def _fold_ranges(table, order, ranked, cols, buf):
     """Max and min, flat over (t, j), of ranked[t, p] + table[order[t, p], j] over the positions p in cols.
 
-    The blocks go through buf, as many positions at a time as it holds, and
-    are folded into hi and lo in place when those are given.
+    The blocks go through buf, as many positions at a time as it holds.
     """
+    hi = lo = None
     width = buf.size // (len(order) * table.shape[1])
     for c in range(0, len(cols), width):
         part = cols[c : c + width]
@@ -138,62 +128,43 @@ def _fold_ranges(table, order, ranked, cols, buf, hi=None, lo=None):
     return hi, lo
 
 
-def _screened_ranges(table, profiles, picks: np.ndarray, buf: np.ndarray, best: float, scaled=None):
-    """Full ranges of the batch's leaves that may beat best, and their flat indices (None: every leaf).
+def _screened_ranges(table, scaled, profiles, picks: np.ndarray, buf: np.ndarray, best: float):
+    """Full ranges of the batch's leaves that may beat best, and their flat indices.
 
     Leaf (t, j), at flat index t * n_combos + j, is profiles[t] plus column
-    j of table. It is first ranged over picks, its profile's highest and
-    lowest segments as _extremes gives them: a lower bound on its range.
-
-    Without scaled the screen runs in float64 and keeps the leaves below
-    best. They are finished on every segment, gathered by column if at most
-    a quarter survive; otherwise every leaf's screen is extended over the
-    middle segments. Max and min are exact, so every range equals the dense
-    one bit for bit.
-
-    With scaled = (table32, e), table32 being table * 2**-e in float32 and
-    every leaf value times 2**-e in (-1, 1), the screen runs in float32 on
-    half the bytes, through buf viewed as float32. A leaf is kept when its
-    screened range is below best * 2**-e + _SINGLE_MARGIN. Below 1, float32
-    rounds with an error of at most 2**-25, and below 2 of at most 2**-24:
-    so the four inputs of a screened range (a profile and a table value at
-    each end) cost at most 4 * 2**-25, the two adds and the subtract at most
-    3 * 2**-24, and the threshold, below 2 + 2**-20, at most 2**-23; 7 * 2**-24
-    in all, which the margin of 16 * 2**-24 covers twice over (the float64
-    sums the finish uses are far closer still). Every leaf whose float64
-    range is below best is therefore kept. The survivors are always
-    gathered and finished in float64, so their ranges are the same.
+    j of table; scaled = (table32, e) is table * 2**-e in float32, which puts
+    every leaf value in (-1, 1). Each leaf is ranged in float32, through buf
+    viewed as float32, over picks, positions in its profile's argsort, and
+    kept if that lower bound on its range is below best * 2**-e +
+    _SINGLE_MARGIN. float32 rounds with an error of at most 2**-25 below 1
+    and 2**-24 below 2: the four inputs of a screened range cost at most
+    4 * 2**-25, the two adds and the subtract 3 * 2**-24, and the threshold,
+    below 2 + 2**-20, 2**-23; 7 * 2**-24 in all, which the margin of
+    16 * 2**-24 covers twice over (the float64 sums are far closer still).
+    So every leaf whose float64 range is below best is kept. The survivors
+    are gathered by column and finished in float64; max and min are exact,
+    so every range equals exhaustive_search's bit for bit.
     """
     ns, n_combos = table.shape
+    table32, e = scaled
     # a stable argsort and a flat take touch less of numpy's sorting code, and so less
     # resident memory, than the default kind and np.sort
     order = np.argsort(profiles, axis=1, kind="stable")
     ranked = np.take(profiles, order + np.arange(0, profiles.size, ns)[:, None])
-    if scaled is None:
-        hi, lo = _fold_ranges(table, order, ranked, picks, buf)
-        keep = np.flatnonzero(hi - lo < best)
-    else:
-        table32, e = scaled
-        ranked32 = np.ldexp(ranked, -e).astype(np.float32)
-        hi, lo = _fold_ranges(table32, order, ranked32, picks, buf.view(np.float32))
-        hi -= lo
-        keep = np.flatnonzero(hi < np.float32(math.ldexp(best, -e) + _SINGLE_MARGIN))
-    if keep.size == 0:
-        return keep, keep
-    if scaled is not None or 4 * keep.size <= hi.size:
-        vals = np.empty(keep.size)
-        width = buf.size // (2 * ns)
-        for c in range(0, keep.size, width):
-            row, col = np.divmod(keep[c : c + width], n_combos)
-            full, rest = buf[: 2 * ns * col.size].reshape(2, ns, col.size)
-            np.take(table, col, axis=1, out=full, mode="clip")
-            np.take(profiles.T, row, axis=1, out=rest, mode="clip")
-            full += rest
-            np.subtract(full.max(axis=0), full.min(axis=0), out=vals[c : c + width])
-        return vals, keep
-    r = len(picks) // 2
-    hi, lo = _fold_ranges(table, order, ranked, np.arange(r, ns - r), buf, hi, lo)
-    return hi - lo, None
+    ranked32 = np.ldexp(ranked, -e).astype(np.float32)
+    hi, lo = _fold_ranges(table32, order, ranked32, picks, buf.view(np.float32))
+    hi -= lo
+    keep = np.flatnonzero(hi < np.float32(math.ldexp(best, -e) + _SINGLE_MARGIN))
+    vals = np.empty(keep.size)
+    width = buf.size // (2 * ns)
+    for c in range(0, keep.size, width):
+        row, col = np.divmod(keep[c : c + width], n_combos)
+        full, rest = buf[: 2 * ns * col.size].reshape(2, ns, col.size)
+        np.take(table, col, axis=1, out=full, mode="clip")
+        np.take(profiles.T, row, axis=1, out=rest, mode="clip")
+        full += rest
+        np.subtract(full.max(axis=0), full.min(axis=0), out=vals[c : c + width])
+    return vals, keep
 
 
 def _single_precision(table: np.ndarray, rows: np.ndarray, store: np.ndarray):
@@ -278,22 +249,15 @@ def _range_search(rows: np.ndarray, deadline: float):
     """Range-optimal enumeration in exhaustive_search's order, sums and tie-break.
 
     The identity shifts seed the incumbent. The prefix profiles come in
-    batches of about _BATCH_LEAVES leaves, the tail table transposed to
-    (n_segments, n_combos) is added to each, and _screened_ranges screens
-    every leaf on its profile's _SCREEN_EXTREMES highest and lowest
-    segments before finishing the survivors. The first batch, which faces
-    the weak identity incumbent, is screened in float64 on
-    _FIRST_SCREEN_EXTREMES and extended densely when many survive; with no
-    prefix disks it is the only batch, as in every sub-search of
-    block_approximate at 42 segments, and there a float32 screen with an
-    always-gathered finish cost more than it saved. Every later batch
-    is screened in float32 and gathered. The first minimum in a batch's
-    flat (prefix, tail) order is its lex-first one, and only a strictly
-    lower range replaces the incumbent. One allocation, made with the tail
-    table, holds the float32 copy of the table, written for the second
-    batch, and every block the screen and the finish build. The float32
-    screen reads the float64 buffer through a float32 view, so its batches
-    hold twice the leaves the same bytes would hold in float64.
+    batches of about _BATCH_LEAVES leaves, each added to the tail table
+    transposed to (n_segments, n_combos). The first batch is ranged on every
+    segment in float64; with no prefix disks it is the only batch, as in
+    every sub-search of block_approximate at 42 segments. Later batches go
+    through _screened_ranges. The first minimum in a batch's flat (prefix,
+    tail) order is its lex-first one, and only a strictly lower range
+    replaces the incumbent. One allocation, made with the tail table, holds
+    the first batch's blocks, then the float32 table, written for the
+    second batch, and the blocks of the screen and the finish.
 
     Returns (shifts, leaves evaluated, completed). The search stops when the
     incumbent range is 0, which no leaf can beat, counting the leaves up to
@@ -307,10 +271,12 @@ def _range_search(rows: np.ndarray, deadline: float):
     m = _tail_split(n - 1, ns)
     n_pre, n_combos = n - 1 - m, ns**m
     batch = max(1, _BATCH_LEAVES // n_combos) if n_pre else 1
-    first, later = _extremes(ns, _FIRST_SCREEN_EXTREMES), _extremes(ns, _SCREEN_EXTREMES)
-    # in rows of n_combos floats: the float32 table, then the float32 screen's blocks
+    r = min(_SCREEN_EXTREMES, ns // 2)
+    picks = np.arange(-r, r) % ns  # in a profile's argsort, its r highest and r lowest segments
+    # in rows of n_combos floats: at least 16 for the first batch's fold; later the float32
+    # table and the float32 screen's blocks, two to a row
     copy_rows = -(-ns // 2) if n_pre else 0
-    spare_rows = max(len(first), copy_rows + -(-batch * len(later) // 2))
+    spare_rows = max(16, copy_rows + -(-batch * len(picks) // 2))
     # one buffer per search: a block this size allocated per batch would be a fresh mmap each time
     table, spare = _tail_columns(shifted, range(n - m, n), spare_rows)
     best_key = ((0,) * n_pre, 0)
@@ -325,11 +291,13 @@ def _range_search(rows: np.ndarray, deadline: float):
             completed = False
             break
         if leaves == 0:  # the first batch
-            vals, keep = _screened_ranges(table, profiles, first, spare, best)
+            order = np.broadcast_to(np.arange(ns), profiles.shape)
+            hi, lo = _fold_ranges(table, order, profiles, np.arange(ns), spare)
+            vals, keep = hi - lo, None
         else:
             if scaled is None:
                 scaled = _single_precision(table, rows, spare)
-            vals, keep = _screened_ranges(table, profiles, later, buf, best, scaled)
+            vals, keep = _screened_ranges(table, scaled, profiles, picks, buf, best)
         leaves += len(combos) * n_combos
         if vals.size == 0:
             continue

@@ -115,19 +115,20 @@ def deviations(stack: DiskStack) -> DeviationMatrix:
     return DeviationMatrix(devs)
 
 
-def _as_shift_vector(shifts, n_disks: int, n_segments: int) -> ShiftVector:
+def _as_shift_vector(shifts, n_segments: int, n_disks: int | None = None) -> ShiftVector:
+    """shifts as a non-empty tuple of ints in [0, n_segments), n_disks long when that is given."""
     try:
-        out = tuple(int(s) for s in shifts)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"shifts must be a sequence of integers: {exc}") from None
-    if len(out) != n_disks:
-        raise InvalidInputError(f"expected {n_disks} shifts, got {len(out)}")
-    for s, raw in zip(out, shifts):
-        if not isinstance(raw, (int, np.integer)):
-            raise InvalidInputError(f"shift {raw!r} is not an integer")
+        raw = tuple(shifts)
+    except TypeError:
+        raise InvalidInputError(f"shifts must be a sequence of integers, got {shifts!r}") from None
+    if not raw or n_disks is not None and len(raw) != n_disks:
+        raise InvalidInputError(f"expected {n_disks or 'one or more'} shifts, got {len(raw)}")
+    for s in raw:
+        if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
+            raise InvalidInputError(f"shift {s!r} is not an integer")
         if not 0 <= s < n_segments:
             raise InvalidInputError(f"shift {s} outside [0, {n_segments})")
-    return out
+    return tuple(int(s) for s in raw)
 
 
 def rotations(rows: np.ndarray) -> np.ndarray:
@@ -146,7 +147,7 @@ def rotated_sum(rows: np.ndarray, shifts) -> np.ndarray:
 
 def apply_shifts(devs: DeviationMatrix, shifts) -> SegmentProfile:
     """Rotate each disk by its shift number and sum the deviations per segment."""
-    return SegmentProfile(rotated_sum(devs.devs, _as_shift_vector(shifts, devs.n_disks, devs.n_segments)))
+    return SegmentProfile(rotated_sum(devs.devs, _as_shift_vector(shifts, devs.n_segments, devs.n_disks)))
 
 
 def _profile_values(profile) -> np.ndarray:
@@ -193,7 +194,8 @@ def ln_norm(profile, n) -> float:
         return float(np.abs(d).sum())
     if n == 2:
         return _root_mean_square(d, 1)
-    return float(np.sum(np.abs(d) ** n) ** (1.0 / n))
+    e = math.frexp(np.abs(d).max())[1]  # scaled by 2**-e, as in _root_mean_square
+    return math.ldexp(float(np.sum(np.abs(np.ldexp(d, -e)) ** n)) ** (1.0 / n), e)
 
 
 def shift_metrics(devs: DeviationMatrix, shifts) -> tuple[float, float]:
@@ -209,12 +211,7 @@ def canonicalize_shifts(shifts, n_segments: int) -> ShiftVector:
     equivalent canonical form. Solvers report the canonical form, ties broken
     lexicographically, so all of them agree on a unique reportable optimum.
     """
-    if n_segments < 1:
-        raise InvalidInputError("n_segments must be >= 1")
-    out = tuple(int(s) for s in shifts)
-    for s in out:
-        if not 0 <= s < n_segments:
-            raise InvalidInputError(f"shift {s} outside [0, {n_segments})")
+    out = _as_shift_vector(shifts, n_segments)
     base = out[0]
     return tuple((s - base) % n_segments for s in out)
 

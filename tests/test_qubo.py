@@ -200,6 +200,15 @@ class TestEncodeDecode:
         with pytest.raises(InvalidInputError):
             co.encode_shifts((1, 0), 2, True)
 
+    @pytest.mark.parametrize("gauge_fixed", [True, False])
+    @pytest.mark.parametrize("shifts", [(0, 2.5), (), ("a",), (0, 4), (0, -1), (0, True)])
+    def test_encode_rejects_bad_shifts(self, shifts, gauge_fixed):
+        with pytest.raises(InvalidInputError):
+            co.encode_shifts(shifts, 4, gauge_fixed)
+        model = co.build_qubo(co.deviations(co.generate_instance(2, 4, seed=1)), 1.0, gauge_fixed)
+        with pytest.raises(InvalidInputError):
+            model.encode(shifts)
+
     def test_decode_examples(self):
         model = co.build_qubo(EXAMPLE, 10.0, gauge_fixed=True)
         assert co.decode_solution(np.array([0, 1]), model) == (0, 1)

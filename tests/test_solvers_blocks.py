@@ -1,9 +1,31 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import clutchopt as co
 from clutchopt.errors import InvalidInputError
 from clutchopt.solvers import split_disk_blocks
+from clutchopt.stack import rotated_sum
+
+
+def lex_first_range_optimum(rows):
+    """Row 0 at shift 0 and the lex-first shifts of the others with the lowest range, by brute force."""
+    best, best_shifts = None, None
+    for rest in itertools.product(range(rows.shape[1]), repeat=len(rows) - 1):
+        value = float(np.ptp(rotated_sum(rows, (0, *rest))))
+        if best is None or value < best:
+            best, best_shifts = value, (0, *rest)
+    return best_shifts
+
+
+def reference_approximate(devs):
+    """block_approximate by its definition: each block solved alone, then its super-row rotated."""
+    blocks = split_disk_blocks(devs.n_disks)
+    internal = [lex_first_range_optimum(devs.devs[block]) for block in blocks]
+    super_rows = np.array([rotated_sum(devs.devs[block], s) for block, s in zip(blocks, internal)])
+    rot = lex_first_range_optimum(super_rows)
+    return tuple((s + rot[g]) % devs.n_segments for g in range(len(blocks)) for s in internal[g])
 
 
 class TestSplit:
@@ -52,6 +74,26 @@ class TestBlockApproximate:
             assert approx.range >= exact.range - 1e-9 * max(1.0, exact.range)
             assert not approx.optimal
             assert approx.shifts[0] == 0
+
+    def test_matches_reference_on_random_instances(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            nd = int(rng.integers(4, 10))
+            ns = int(rng.integers(3, 8))
+            devs = co.deviations(co.generate_instance(nd, ns, seed=int(rng.integers(1 << 31))))
+            self.assert_matches_reference(devs)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_reference_at_7x42(self, seed):
+        # every sub-search here is a single batch with no prefix disk
+        self.assert_matches_reference(co.deviations(co.generate_instance(7, 42, 2.0, 0.1, seed=seed)))
+
+    @staticmethod
+    def assert_matches_reference(devs):
+        result = co.block_approximate(devs)
+        shifts = reference_approximate(devs)
+        assert result.shifts == shifts
+        assert result.range == pytest.approx(co.range_metric(co.apply_shifts(devs, shifts)), rel=1e-12)
 
     def test_metrics_recomputable(self):
         devs = co.deviations(co.generate_instance(9, 5, seed=4))

@@ -147,9 +147,10 @@ class TestBranchAndBound:
         sigma, spread = co.shift_metrics(devs, result.shifts)
         assert spread == pytest.approx(result.range, rel=1e-9)
 
-    # (3, 42): no prefix disk, one float64 batch; (4, 42): batches of 9 prefixes, the last of 6;
-    # (6, 10) and (5, 20): one batch per outer prefix disk's shift. At (4, 20), (4, 24) and
-    # (5, 10) all prefixes fit in one batch, so batches are shrunk to reach the float32 screen.
+    # (3, 42): no prefix disk, so one batch, ranged on every segment; (4, 42): batches of 9
+    # prefixes, the last of 6; (6, 10) and (5, 20): one batch per outer prefix disk's shift. At
+    # (4, 20), (4, 24) and (5, 10) all prefixes fit in one batch, so batches are shrunk to reach
+    # the float32 screen.
     @pytest.mark.parametrize(
         "nd, ns, batch_leaves",
         [
@@ -158,7 +159,7 @@ class TestBranchAndBound:
         ],
     )
     def test_oracle_equivalence_past_the_head_screen(self, nd, ns, batch_leaves, monkeypatch):
-        # more segments than the head screen covers, so survivors are finished on the rest
+        # the float32 screen ranges 3 + 3 of these segments, so its survivors are finished on the rest
         if batch_leaves:
             monkeypatch.setattr(exact_module, "_BATCH_LEAVES", batch_leaves)
         for seed in range(3):
@@ -224,7 +225,8 @@ class TestBranchAndBound:
     @pytest.mark.parametrize(
         "nd, ns, prefix, leaves",
         # batches of 9, 16 and 16 prefixes; the zero falls inside the second batch (float32), the
-        # first and only one (float64), and the batch after an outer prefix disk's first (float32)
+        # first and only one (ranged on every segment), and the batch after an outer prefix disk's
+        # first (float32)
         [(4, 42, (12,), 13 * 42**2), (5, 10, (3,), 4 * 10**3), (6, 10, (1, 2), 13 * 10**3)],
     )
     def test_zero_range_stops_after_its_prefix(self, nd, ns, prefix, leaves):

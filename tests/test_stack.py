@@ -158,6 +158,14 @@ class TestMetrics:
         sigma, _ = co.shift_metrics(devs, got.shifts)
         assert got.sigma == pytest.approx(sigma * 1e200, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_higher_ln_norms_at_extreme_magnitudes(self, n, scale):
+        # raised to the power n directly, 1e200 overflows to inf and 1e-200 underflows to 0
+        with np.errstate(all="raise"):
+            got = co.ln_norm(np.array([scale, -scale]), n)
+        assert got == pytest.approx(scale * 2.0 ** (1.0 / n), rel=1e-12)
+
     def test_ln_norm_rejects_bad_order(self):
         profile = co.SegmentProfile(np.array([1.0, -1.0]))
         for bad in (0, -1, 1.5, True):
@@ -207,6 +215,11 @@ class TestGaugeInvariance:
         assert co.canonicalize_shifts((3, 5, 3), 6) == (0, 2, 0)
         assert co.canonicalize_shifts((0, 1), 2) == (0, 1)
         assert co.canonicalize_shifts((4, 4, 4, 4), 5) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("shifts", [(0, 1.7), (0, 2.5), (), ("a",), (0, 4), (-1, 0), (0, True), 3])
+    def test_canonicalize_rejects_bad_shifts(self, shifts):
+        with pytest.raises(InvalidInputError):
+            co.canonicalize_shifts(shifts, 4)
 
     @given(devs_with_shifts())
     def test_canonicalize_is_idempotent_and_metric_preserving(self, case):
