@@ -40,6 +40,14 @@ _SOLVER_PARAM_TYPES = {
     "objective": str,
 }
 _SOLVE_KWARGS = {"budget": "budget_seconds"}
+# config keys that take one value: the BenchmarkConfig field each sets and its type
+_SCALAR_KEYS = {
+    "instances": ("instances_per_size", int),
+    "seed": ("base_seed", int),
+    "a0": ("target_thickness", float),
+    "delta": ("max_variation", float),
+    "out": ("out", str),
+}
 
 
 @dataclass(frozen=True)
@@ -122,10 +130,7 @@ _COLUMN_TYPES = typing.get_type_hints(BenchmarkRecord)
 _STATUSES = ("ok", "no-feasible-sample", "skip", "error")
 
 
-def default_config(
-    base_seed: int = DEFAULT_BASE_SEED,
-    instances_per_size: int = 2,
-) -> BenchmarkConfig:
+def default_config() -> BenchmarkConfig:
     """Desk-scale grid: oracle-verified 6-segment rows plus 42-segment rows.
 
     The size column of interest is n_vars = (n_disks - 1) * n_segments; the
@@ -140,12 +145,7 @@ def default_config(
         SolverSpec("approx", {}),
         SolverSpec("sa", {"samples": 35, "sweeps": 1500}),
     )
-    return BenchmarkConfig(
-        sizes=sizes,
-        instances_per_size=instances_per_size,
-        solvers=solvers,
-        base_seed=base_seed,
-    )
+    return BenchmarkConfig(sizes=sizes, instances_per_size=2, solvers=solvers)
 
 
 def run_benchmark(config: BenchmarkConfig, progress=None) -> list[BenchmarkRecord]:
@@ -288,7 +288,8 @@ def parse_config(text: str) -> BenchmarkConfig:
 
     Keys: "size ND NS" (repeatable), "instances N", "seed N", "a0 X",
     "delta X", "out PATH", and "solver NAME [key=value ...]" (repeatable).
-    Blank lines and # comments are ignored.
+    Blank lines and # comments are ignored; a line with more or fewer tokens
+    than its key takes is an error.
     """
     sizes: list[tuple[int, int]] = []
     solvers: list[SolverSpec] = []
@@ -301,17 +302,12 @@ def parse_config(text: str) -> BenchmarkConfig:
         key = parts[0]
         try:
             if key == "size":
-                sizes.append((int(parts[1]), int(parts[2])))
-            elif key == "instances":
-                scalars["instances_per_size"] = int(parts[1])
-            elif key == "seed":
-                scalars["base_seed"] = int(parts[1])
-            elif key == "a0":
-                scalars["target_thickness"] = float(parts[1])
-            elif key == "delta":
-                scalars["max_variation"] = float(parts[1])
-            elif key == "out":
-                scalars["out"] = parts[1]
+                nd, ns = parts[1:]  # ValueError for any other token count
+                sizes.append((int(nd), int(ns)))
+            elif key in _SCALAR_KEYS:
+                name, kind = _SCALAR_KEYS[key]
+                (value,) = parts[1:]
+                scalars[name] = kind(value)
             elif key == "solver":
                 params = {}
                 for item in parts[2:]:

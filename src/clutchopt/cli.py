@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import defaultdict
 
 from .bench import default_config, load_config, run_benchmark, write_results
 from .errors import ConfigError, InvalidInputError, ProblemTooLargeError
@@ -89,9 +90,26 @@ def _cmd_bench(args) -> int:
     out = args.out if args.out is not None else config.out
     if out is None:
         raise ConfigError("no output path: pass --out or put 'out PATH' in the config")
-    records = run_benchmark(config)
+    names = [spec.name for spec in config.solvers]
+    print(f"grid: {len(config.sizes)} sizes x {config.instances_per_size} instances, "
+          f"solvers: {', '.join(names)}")
+    records = run_benchmark(config, progress=lambda r: print(
+        f"  {r.instance:>14s} {r.solver:>10s} {r.status:>5s}"
+        + (f"  range={r.range:.6f}  {r.wall_time:.2f}s" if r.status == "ok" else f"  ({r.note})")
+    ))
     write_results(records, out, args.format)
-    print(f"wrote {len(records)} records to {out}")
+    print(f"\nwrote {len(records)} records to {out}")
+
+    # mean range per solver over the instances every solver completed
+    ranges = defaultdict(dict)
+    for rec in records:
+        if rec.status == "ok":
+            ranges[rec.instance][rec.solver] = rec.range
+    shared = [row for row in ranges.values() if len(row) == len(names)]
+    if shared:
+        print(f"\nmean range over the {len(shared)} instances every solver completed:")
+        for name in names:
+            print(f"  {name:>10s}  {sum(row[name] for row in shared) / len(shared):.6f}")
     return 0
 
 

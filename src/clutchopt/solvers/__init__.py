@@ -28,7 +28,7 @@ SOLVER_PARAMS = {
     "exhaustive": ("objective", "cap"),
     "exact": ("objective", "budget_seconds", "cap"),
     "approx": ("objective", "budget_seconds"),
-    "sa": ("objective", "rho", "samples", "sweeps", "schedule", "seed"),
+    "sa": ("objective", "rho", "samples", "sweeps", "seed"),
 }
 SOLVER_NAMES = tuple(SOLVER_PARAMS)
 # the objectives each solver optimizes, its default first
@@ -67,7 +67,6 @@ def solve(
     rho: float | None = None,
     samples: int | None = None,
     sweeps: int | None = None,
-    schedule: AnnealSchedule | None = None,
     seed: int | None = None,
     budget_seconds: float | None = None,
     cap: int | None = None,
@@ -79,14 +78,11 @@ def solve(
     optimize. exact and approx optimize the range, sa sigma (through the
     squared L2 objective), exhaustive either (range by default). cap is an
     enumeration cap: exhaustive defaults to DEFAULT_ENUMERATION_CAP, exact to
-    none. sa takes sweeps or a schedule, not both.
+    none.
     """
     if solver not in SOLVER_PARAMS:
         raise InvalidInputError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
-    given = dict(
-        rho=rho, samples=samples, sweeps=sweeps, schedule=schedule, seed=seed,
-        budget_seconds=budget_seconds, cap=cap,
-    )
+    given = dict(rho=rho, samples=samples, sweeps=sweeps, seed=seed, budget_seconds=budget_seconds, cap=cap)
     for name, value in given.items():
         if value is not None and name not in SOLVER_PARAMS[solver]:
             raise InvalidInputError(f"{solver} does not take {name}")
@@ -102,14 +98,10 @@ def solve(
         return branch_and_bound(devs, budget_seconds, cap)
     if solver == "approx":
         return block_approximate(devs, budget_seconds)
-    if sweeps is not None and schedule is not None:
-        raise InvalidInputError("sa takes sweeps or a schedule, not both")
     model = build_qubo(devs, annealing_penalty(devs) if rho is None else float(rho), gauge_fixed=True)
-    if schedule is None:
-        schedule = default_schedule(model, sweeps=DEFAULT_SWEEPS if sweeps is None else sweeps)
     return simulated_anneal(
         model,
-        schedule,
+        default_schedule(model, DEFAULT_SWEEPS if sweeps is None else sweeps),
         samples=DEFAULT_SAMPLES if samples is None else samples,
         seed=seed,
         devs=devs,

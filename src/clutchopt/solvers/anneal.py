@@ -56,6 +56,14 @@ DEFAULT_SAMPLES = 35
 DEFAULT_SWEEPS = 1500
 
 
+def _check_count(name: str, value) -> None:
+    """A count is a Python or numpy integer >= 1; a bool or a float is not."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidInputError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class AnnealSchedule:
     """Geometric inverse-temperature ladder, one sweep per step."""
@@ -65,8 +73,7 @@ class AnnealSchedule:
     beta_final: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.sweeps < 1:
-            raise InvalidInputError("sweeps must be >= 1")
+        _check_count("sweeps", self.sweeps)
         if not (0 < self.beta_initial <= self.beta_final and math.isfinite(self.beta_final)):
             raise InvalidInputError("need 0 < beta_initial <= beta_final < inf")
 
@@ -136,8 +143,7 @@ def simulated_anneal(
     """
     if model.n_vars < 1:
         raise InvalidInputError("model has no variables to anneal")
-    if samples < 1:
-        raise InvalidInputError("samples must be >= 1")
+    _check_count("samples", samples)
     sched = schedule if schedule is not None else default_schedule(model)
 
     t0 = time.perf_counter()

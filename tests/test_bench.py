@@ -92,6 +92,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^line 2: {reason}"):
             parse_config(f"size 2 2\n{line}\nsolver approx\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["size 2 2 9", "instances 2 3", "seed 9 10", "a0 1.5 2.0", "delta 0.1 0.2", "out my results.csv"],
+    )
+    def test_parse_rejects_extra_tokens(self, line):
+        with pytest.raises(ConfigError, match="^line 2: cannot parse"):
+            parse_config(f"size 2 2\n{line}\nsolver approx\n")
+
     def test_solver_spec_checks_parameters_against_the_solver(self):
         with pytest.raises(ConfigError, match="exact does not take samples"):
             SolverSpec("exact", {"samples": 3})
@@ -271,6 +279,7 @@ class TestEmitParse:
 class TestDefaultConfig:
     def test_grid_contents(self):
         config = default_config()
+        assert config.instances_per_size == 2
         assert (2, 6) in config.sizes and (6, 6) in config.sizes
         assert (7, 42) in config.sizes
         names = [spec.name for spec in config.solvers]

@@ -173,6 +173,37 @@ class TestBench:
         records = co.parse_results(out.read_text(), "csv")
         assert len(records) == 6
 
+    def test_bench_progress_and_summary(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text(
+            "size 2 4\nsize 3 4\nsize 4 4\ninstances 2\nseed 11\n"
+            # the cap makes exhaustive skip 4x4, so the summary leaves those instances out
+            "solver exhaustive cap=20\nsolver exact\nsolver approx\nsolver sa samples=4 sweeps=30\n"
+        )
+        out = tmp_path / "results.csv"
+        code, stdout, _ = run(capsys, "bench", "--config", str(config), "--out", str(out))
+        assert code == 0
+        records = co.parse_results(out.read_text(), "csv")
+        names = ["exhaustive", "exact", "approx", "sa"]
+        assert len(records) == 3 * 2 * len(names)
+
+        lines = stdout.splitlines()
+        assert lines[0] == "grid: 3 sizes x 2 instances, solvers: exhaustive, exact, approx, sa"
+        progress, rest = lines[1 : 1 + len(records)], lines[1 + len(records) :]
+        assert [line.split()[:3] for line in progress] == [[r.instance, r.solver, r.status] for r in records]
+        assert rest[:3] == ["", f"wrote {len(records)} records to {out}", ""]
+
+        by_instance = {}
+        for rec in records:
+            by_instance.setdefault(rec.instance, {})[rec.solver] = rec
+        shared = [row for row in by_instance.values() if all(row[n].status == "ok" for n in names)]
+        assert 0 < len(shared) < len(by_instance)
+        assert rest[3] == f"mean range over the {len(shared)} instances every solver completed:"
+        means = dict(line.split() for line in rest[4:])
+        assert list(means) == names
+        for name in names:
+            assert means[name] == f"{sum(row[name].range for row in shared) / len(shared):.6f}"
+
     def test_bench_jsonl(self, tmp_path, capsys):
         config = tmp_path / "bench.cfg"
         config.write_text(self.CONFIG)

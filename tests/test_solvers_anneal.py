@@ -90,6 +90,11 @@ class TestSchedule:
         with pytest.raises(InvalidInputError):
             AnnealSchedule(beta_initial=1.0, beta_final=math.inf)
 
+    @pytest.mark.parametrize("sweeps", [2.5, True, np.float64(3.0), "3"])
+    def test_sweeps_must_be_an_integer(self, sweeps):
+        with pytest.raises(InvalidInputError, match="sweeps must be an integer"):
+            AnnealSchedule(sweeps=sweeps)
+
     def test_betas_geometric(self):
         sched = AnnealSchedule(sweeps=3, beta_initial=1.0, beta_final=100.0)
         assert np.allclose(sched.betas(), [1.0, 10.0, 100.0])
@@ -177,6 +182,22 @@ class TestSimulatedAnneal:
     def test_samples_validated(self):
         with pytest.raises(InvalidInputError):
             simulated_anneal(example_model(), samples=0)
+
+    @pytest.mark.parametrize("samples", [2.5, True, np.float64(3.0), "3"])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(InvalidInputError, match="samples must be an integer"):
+            simulated_anneal(example_model(), samples=samples)
+
+    @pytest.mark.parametrize("count", [{"sweeps": True}, {"sweeps": 2.5}, {"samples": True}, {"samples": 2.5}])
+    def test_solve_rejects_non_integer_counts(self, count):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            co.solve(EXAMPLE, "sa", **count)
+
+    def test_numpy_integer_counts_accepted(self):
+        sched = AnnealSchedule(sweeps=np.int32(20), beta_initial=0.1, beta_final=10.0)
+        result = simulated_anneal(example_model(), sched, samples=np.int64(3), seed=1)
+        assert result.samples_total == 3
+        assert result.params["sweeps"] == 20
 
     def test_no_feasible_sample_reported_not_repaired(self):
         devs = co.deviations(co.generate_instance(3, 4, seed=2))

@@ -156,10 +156,6 @@ class TestSolveDispatch:
         with pytest.raises(InvalidInputError, match=f"{solver} does not take {name}"):
             co.solve(self.DEVS, solver, **kwargs)
 
-    def test_sa_rejects_sweeps_and_schedule_together(self):
-        with pytest.raises(InvalidInputError, match="not both"):
-            co.solve(self.DEVS, "sa", sweeps=10, schedule=co.AnnealSchedule(sweeps=10))
-
     def test_exact_cap_is_an_enumeration_cap(self):
         devs = co.deviations(co.generate_instance(4, 6, seed=3))
         leaves = 6**3
