@@ -47,7 +47,6 @@ from .solvers import (
 from .stack import (
     DeviationMatrix,
     DiskStack,
-    SegmentProfile,
     apply_shifts,
     canonicalize_shifts,
     deviations,

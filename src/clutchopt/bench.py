@@ -70,6 +70,11 @@ class SolverSpec:
             )
         if not self.params.get("budget", 0) >= 0:  # also false for NaN
             raise ConfigError(f"budget must be >= 0 seconds, got {self.params['budget']!r}")
+        for key in ("samples", "sweeps"):
+            if not self.params.get(key, 1) >= 1:
+                raise ConfigError(f"{key} must be >= 1, got {self.params[key]!r}")
+        if not 0 < self.params.get("rho", 1.0) < math.inf:  # also false for NaN
+            raise ConfigError(f"rho must be finite and > 0, got {self.params['rho']!r}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,9 @@ class BenchmarkConfig:
             raise ConfigError("a0 and delta must be finite")
         if self.max_variation < 0:
             raise ConfigError("delta must be >= 0")
+        # format_config writes "out PATH" on one line, which parse_config splits on whitespace and cuts at #
+        if self.out is not None and (self.out.split() != [self.out] or "#" in self.out):
+            raise ConfigError(f"out must be a non-empty path without whitespace or '#', got {self.out!r}")
 
 
 @dataclass(frozen=True)

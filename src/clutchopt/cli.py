@@ -6,7 +6,7 @@ import argparse
 import sys
 from collections import defaultdict
 
-from .bench import default_config, load_config, run_benchmark, write_results
+from .bench import default_config, emit_results, load_config, run_benchmark
 from .errors import ConfigError, InvalidInputError, ProblemTooLargeError
 from .qubo import annealing_penalty, build_qubo, export_qubo
 from .solvers import SOLVER_NAMES, SOLVER_PARAMS, solve
@@ -91,13 +91,14 @@ def _cmd_bench(args) -> int:
     if out is None:
         raise ConfigError("no output path: pass --out or put 'out PATH' in the config")
     names = [spec.name for spec in config.solvers]
-    print(f"grid: {len(config.sizes)} sizes x {config.instances_per_size} instances, "
-          f"solvers: {', '.join(names)}")
-    records = run_benchmark(config, progress=lambda r: print(
-        f"  {r.instance:>14s} {r.solver:>10s} {r.status:>5s}"
-        + (f"  range={r.range:.6f}  {r.wall_time:.2f}s" if r.status == "ok" else f"  ({r.note})")
-    ))
-    write_results(records, out, args.format)
+    with open(out, "w") as sink:  # opened first, so a path that cannot be written fails before any solve
+        print(f"grid: {len(config.sizes)} sizes x {config.instances_per_size} instances, "
+              f"solvers: {', '.join(names)}")
+        records = run_benchmark(config, progress=lambda r: print(
+            f"  {r.instance:>14s} {r.solver:>10s} {r.status:>5s}"
+            + (f"  range={r.range:.6f}  {r.wall_time:.2f}s" if r.status == "ok" else f"  ({r.note})")
+        ))
+        sink.write(emit_results(records, args.format))
     print(f"\nwrote {len(records)} records to {out}")
 
     # mean range per solver over the instances every solver completed

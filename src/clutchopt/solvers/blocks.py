@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from ..stack import DeviationMatrix, rotated_sum
+from ..stack import DeviationMatrix, rotated_sum, rotations
 from .exact import _deadline, _range_search
 from .result import SolveResult, scored
 
@@ -41,7 +41,7 @@ def block_approximate(devs: DeviationMatrix, budget_seconds: float | None = None
     deadline = _deadline(t0, budget_seconds)
 
     if devs.n_disks < 4:
-        shifts, leaves, completed = _range_search(b, deadline)
+        shifts, leaves, completed = _range_search(rotations(b), deadline)
         delegated = True
     else:
         delegated = False
@@ -51,12 +51,13 @@ def block_approximate(devs: DeviationMatrix, budget_seconds: float | None = None
         internal: list[tuple[int, ...]] = []
         super_rows = np.empty((len(blocks), ns))
         for g, block in enumerate(blocks):
-            sub_shifts, sub_leaves, sub_done = _range_search(b[block], deadline)
+            shifted = rotations(b[block])
+            sub_shifts, sub_leaves, sub_done = _range_search(shifted, deadline)
             internal.append(sub_shifts)
             leaves += sub_leaves
             completed = completed and sub_done
-            super_rows[g] = rotated_sum(b[block], sub_shifts)
-        rot, rot_leaves, rot_done = _range_search(super_rows, deadline)
+            super_rows[g] = rotated_sum(shifted, sub_shifts)
+        rot, rot_leaves, rot_done = _range_search(rotations(super_rows), deadline)
         leaves += rot_leaves
         completed = completed and rot_done
         out = [0] * devs.n_disks

@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from ..errors import InvalidInputError, ProblemTooLargeError
-from ..stack import DeviationMatrix, rotations
+from ..stack import DeviationMatrix, rotated_sum, rotations
 from .result import SolveResult, scored
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -76,30 +76,22 @@ def _tail_split(n_free: int, n_segments: int) -> int:
     return m
 
 
-def _prefix_profile(rows: np.ndarray, shifted: np.ndarray, combo) -> np.ndarray:
-    """Row 0 plus rows 1, 2, ... rotated by combo, summed in row order."""
-    profile = rows[0]
-    for k, s in enumerate(combo, start=1):
-        profile = profile + shifted[k, s]
-    return profile
-
-
-def _prefix_batches(rows: np.ndarray, shifted: np.ndarray, n_pre: int, batch: int):
+def _prefix_batches(shifted: np.ndarray, n_pre: int, batch: int):
     """(combos, profiles) for all n_pre prefix disks, in lex order, up to batch at a time.
 
     The last prefix disk's shift varies within a batch, and profiles[t] is
-    _prefix_profile of combos[t], bit for bit: the other disks are summed
-    once per batch, and that sum plus the last disk's rotation is the last
-    addition _prefix_profile makes. With no prefix disks the one batch is
+    rotated_sum(shifted, (0, *combos[t])), bit for bit: the other disks are
+    summed once per batch, and that sum plus the last disk's rotation is the
+    last addition rotated_sum makes. With no prefix disks the one batch is
     row 0 alone.
     """
     if n_pre == 0:
-        yield [()], rows[:1]
+        yield [()], shifted[0, :1]
         return
-    ns = rows.shape[1]
+    ns = shifted.shape[2]
     last = shifted[n_pre]
     for outer in itertools.product(range(ns), repeat=n_pre - 1):
-        base = _prefix_profile(rows, shifted, outer)
+        base = rotated_sum(shifted, (0, *outer))
         for first in range(0, ns, batch):
             profiles = base + last[first : first + batch]
             yield [(*outer, s) for s in range(first, first + len(profiles))], profiles
@@ -220,7 +212,7 @@ def exhaustive_search(
         table = _tail_table(shifted, range(n_disks - m, n_disks))
         best_val = np.inf
         for combo in itertools.product(range(ns), repeat=n_disks - 1 - m):
-            block = _prefix_profile(b, shifted, combo) + table
+            block = rotated_sum(shifted, (0, *combo)) + table
             if objective == "range":
                 vals = block.max(axis=1)
                 vals -= block.min(axis=1)
@@ -245,29 +237,29 @@ def _deadline(t0: float, budget_seconds: float | None) -> float:
     return t0 + budget
 
 
-def _range_search(rows: np.ndarray, deadline: float):
+def _range_search(shifted: np.ndarray, deadline: float):
     """Range-optimal enumeration in exhaustive_search's order, sums and tie-break.
 
-    The identity shifts seed the incumbent. The prefix profiles come in
-    batches of about _BATCH_LEAVES leaves, each added to the tail table
-    transposed to (n_segments, n_combos). The first batch is ranged on every
-    segment in float64; with no prefix disks it is the only batch, as in
-    every sub-search of block_approximate at 42 segments. Later batches go
-    through _screened_ranges. The first minimum in a batch's flat (prefix,
-    tail) order is its lex-first one, and only a strictly lower range
-    replaces the incumbent. One allocation, made with the tail table, holds
-    the first batch's blocks, then the float32 table, written for the
-    second batch, and the blocks of the screen and the finish.
+    shifted is the rotations() table of the rows. The identity shifts seed
+    the incumbent. The prefix profiles come in batches of about
+    _BATCH_LEAVES leaves, each added to the tail table transposed to
+    (n_segments, n_combos). The first batch is ranged on every segment in
+    float64; with no prefix disks it is the only batch, as in every
+    sub-search of block_approximate at 42 segments. Later batches go through
+    _screened_ranges. The first minimum in a batch's flat (prefix, tail)
+    order is its lex-first one, and only a strictly lower range replaces the
+    incumbent. One allocation, made with the tail table, holds the first
+    batch's blocks, then the float32 table, written for the second batch,
+    and the blocks of the screen and the finish.
 
     Returns (shifts, leaves evaluated, completed). The search stops when the
     incumbent range is 0, which no leaf can beat, counting the leaves up to
     the prefix that reached it, as a loop over single prefixes would; or,
     incomplete, when the deadline has passed at the start of a batch.
     """
-    n, ns = rows.shape
+    n, ns = shifted.shape[:2]
     if n == 1:
         return (0,), 1, True
-    shifted = rotations(rows)
     m = _tail_split(n - 1, ns)
     n_pre, n_combos = n - 1 - m, ns**m
     batch = max(1, _BATCH_LEAVES // n_combos) if n_pre else 1
@@ -280,11 +272,11 @@ def _range_search(rows: np.ndarray, deadline: float):
     # one buffer per search: a block this size allocated per batch would be a fresh mmap each time
     table, spare = _tail_columns(shifted, range(n - m, n), spare_rows)
     best_key = ((0,) * n_pre, 0)
-    best = float(np.ptp(_prefix_profile(rows, shifted, best_key[0]) + table[:, 0]))
+    best = float(np.ptp(rotated_sum(shifted, (0, *best_key[0])) + table[:, 0]))
     leaves = 0
     completed = True
     scaled, buf = None, spare[copy_rows * n_combos :]
-    for combos, profiles in _prefix_batches(rows, shifted, n_pre, batch):
+    for combos, profiles in _prefix_batches(shifted, n_pre, batch):
         if best == 0.0:
             break
         if time.perf_counter() > deadline:
@@ -296,7 +288,7 @@ def _range_search(rows: np.ndarray, deadline: float):
             vals, keep = hi - lo, None
         else:
             if scaled is None:
-                scaled = _single_precision(table, rows, spare)
+                scaled = _single_precision(table, shifted[:, 0], spare)
             vals, keep = _screened_ranges(table, scaled, profiles, picks, buf, best)
         leaves += len(combos) * n_combos
         if vals.size == 0:
@@ -323,6 +315,6 @@ def branch_and_bound(
     """
     _leaves_within(devs, cap)
     t0 = time.perf_counter()
-    shifts, leaves, completed = _range_search(devs.devs, _deadline(t0, budget_seconds))
+    shifts, leaves, completed = _range_search(rotations(devs.devs), _deadline(t0, budget_seconds))
     params = {"budget_seconds": budget_seconds}
     return scored("exact", devs, shifts, t0, nodes_explored=leaves, optimal=completed, params=params)

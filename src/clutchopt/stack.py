@@ -24,10 +24,15 @@ DEFAULT_MAX_VARIATION = 0.1
 ShiftVector = tuple[int, ...]
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+def _checked(values, ndim: int, name: str) -> np.ndarray:
+    """values as a read-only float64 copy with ndim non-empty axes and only finite entries."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise InvalidInputError(f"{name} must be a non-empty {ndim}-D array")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,16 +45,11 @@ class DiskStack:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.heights, dtype=np.float64)
-        if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
-            raise InvalidInputError("heights must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(h)):
-            raise InvalidInputError("heights must be finite")
+        object.__setattr__(self, "heights", _checked(self.heights, 2, "heights"))
         if not (math.isfinite(self.target_thickness) and math.isfinite(self.max_variation)):
             raise InvalidInputError("target_thickness and max_variation must be finite")
         if self.max_variation < 0:
             raise InvalidInputError("max_variation must be >= 0")
-        object.__setattr__(self, "heights", _freeze(h))
 
     @property
     def n_disks(self) -> int:
@@ -67,16 +67,12 @@ class DeviationMatrix:
     devs: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.devs, dtype=np.float64)
-        if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
-            raise InvalidInputError("devs must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(d)):
-            raise InvalidInputError("devs must be finite")
+        d = _checked(self.devs, 2, "devs")
         # subnormal heights cannot be centered finer than the smallest subnormal
         scale = max(1e-9 * float(np.abs(d).max()), np.finfo(np.float64).smallest_subnormal)
         if abs(float(d.sum())) > d.size * scale:
             raise InvalidInputError("devs must sum to zero (mean-centered heights)")
-        object.__setattr__(self, "devs", _freeze(d))
+        object.__setattr__(self, "devs", d)
 
     @property
     def n_disks(self) -> int:
@@ -85,25 +81,6 @@ class DeviationMatrix:
     @property
     def n_segments(self) -> int:
         return self.devs.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class SegmentProfile:
-    """Per-segment sum of shifted deviations; mean-zero by construction."""
-
-    deviations: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.deviations, dtype=np.float64)
-        if d.ndim != 1 or d.shape[0] < 1:
-            raise InvalidInputError("profile must be a non-empty vector")
-        if not np.all(np.isfinite(d)):
-            raise InvalidInputError("profile must be finite")
-        object.__setattr__(self, "deviations", _freeze(d))
-
-    @property
-    def n_segments(self) -> int:
-        return self.deviations.shape[0]
 
 
 def deviations(stack: DiskStack) -> DeviationMatrix:
@@ -137,26 +114,21 @@ def rotations(rows: np.ndarray) -> np.ndarray:
     return rows[:, (np.arange(ns)[:, None] + np.arange(ns)) % ns]
 
 
-def rotated_sum(rows: np.ndarray, shifts) -> np.ndarray:
-    """Sum of the rows, each rotated left by its shift, accumulated in row order."""
-    total = np.zeros(rows.shape[1])
-    for row, shift in zip(rows, shifts):
-        total += np.roll(row, -shift)
+def rotated_sum(shifted: np.ndarray, shifts) -> np.ndarray:
+    """Sum over rows k of shifted[k, shifts[k]], from a rotations() table, added in row order.
+
+    With one row the sum is a view into the table, so it must not be changed in place.
+    """
+    total = shifted[0, shifts[0]]
+    for k in range(1, len(shifts)):
+        total = total + shifted[k, shifts[k]]
     return total
 
 
-def apply_shifts(devs: DeviationMatrix, shifts) -> SegmentProfile:
-    """Rotate each disk by its shift number and sum the deviations per segment."""
-    return SegmentProfile(rotated_sum(devs.devs, _as_shift_vector(shifts, devs.n_segments, devs.n_disks)))
-
-
-def _profile_values(profile) -> np.ndarray:
-    if isinstance(profile, SegmentProfile):
-        return profile.deviations
-    arr = np.asarray(profile, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] < 1:
-        raise InvalidInputError("profile must be a non-empty vector")
-    return arr
+def apply_shifts(devs: DeviationMatrix, shifts) -> np.ndarray:
+    """Rotate each disk by its shift number and sum the deviations per segment, as a read-only array."""
+    shifts = _as_shift_vector(shifts, devs.n_segments, devs.n_disks)
+    return _checked(rotated_sum(rotations(devs.devs), shifts), 1, "profile")
 
 
 def _root_mean_square(d: np.ndarray, count: int) -> float:
@@ -173,19 +145,19 @@ def _root_mean_square(d: np.ndarray, count: int) -> float:
 
 def stddev(profile) -> float:
     """Root mean square of the profile (its mean is zero, so no recentering)."""
-    d = _profile_values(profile)
+    d = _checked(profile, 1, "profile")
     return _root_mean_square(d, d.shape[0])
 
 
 def range_metric(profile) -> float:
     """Highest minus lowest segment deviation; always >= 0."""
-    d = _profile_values(profile)
+    d = _checked(profile, 1, "profile")
     return float(d.max() - d.min())
 
 
 def ln_norm(profile, n) -> float:
     """Standard L_n norm of the profile; n = math.inf gives max absolute value."""
-    d = _profile_values(profile)
+    d = _checked(profile, 1, "profile")
     if n == math.inf:
         return float(np.abs(d).max())
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:

@@ -86,6 +86,13 @@ class TestConfig:
             ("solver sa samples=2 samples=3", "samples is given twice"),
             ("solver exact objective=sigma", "exact optimizes range only"),
             ("solver sa objective=range", "sa optimizes sigma only"),
+            ("solver sa samples=0", "samples must be >= 1"),
+            ("solver sa sweeps=0", "sweeps must be >= 1"),
+            ("solver sa sweeps=-3", "sweeps must be >= 1"),
+            ("solver sa rho=0", "rho must be finite and > 0"),
+            ("solver sa rho=-1", "rho must be finite and > 0"),
+            ("solver sa rho=nan", "rho must be finite and > 0"),
+            ("solver sa rho=inf", "rho must be finite and > 0"),
         ],
     )
     def test_parse_errors_keep_their_reason(self, line, reason):
@@ -113,9 +120,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="more than once"):
             tiny_config(solvers=(SolverSpec("exact"), SolverSpec("approx"), SolverSpec("exact")))
 
-    def test_parse_round_trip(self):
-        config = tiny_config(out="results.csv")
+    @pytest.mark.parametrize(
+        "out", ["results.csv", "runs/2024-08-17/r.jsonl", "out/a,b;c.csv", "résultats.csv"]
+    )
+    def test_parse_round_trip(self, out):
+        config = tiny_config(out=out)
         assert parse_config(format_config(config)) == config
+
+    @pytest.mark.parametrize("out", ["", "my results.csv", "run#2.csv", " r.csv", "r.csv\n", "a\tb"])
+    def test_rejects_out_that_would_not_round_trip(self, out):
+        with pytest.raises(ConfigError, match="out must be"):
+            tiny_config(out=out)
 
     def test_parse_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):

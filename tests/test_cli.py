@@ -221,6 +221,15 @@ class TestBench:
         assert code == 2
         assert "out" in stderr
 
+    def test_bench_fails_on_its_output_path_before_solving(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text(self.CONFIG)
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, stderr = run(capsys, "bench", "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert "No such file" in stderr
+        assert stdout == ""  # neither the grid header nor a progress line
+
     def test_bench_bad_config(self, tmp_path, capsys):
         config = tmp_path / "bench.cfg"
         config.write_text("solver exact\n")

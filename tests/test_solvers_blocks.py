@@ -6,14 +6,14 @@ import pytest
 import clutchopt as co
 from clutchopt.errors import InvalidInputError
 from clutchopt.solvers import split_disk_blocks
-from clutchopt.stack import rotated_sum
+from clutchopt.stack import rotated_sum, rotations
 
 
 def lex_first_range_optimum(rows):
     """Row 0 at shift 0 and the lex-first shifts of the others with the lowest range, by brute force."""
     best, best_shifts = None, None
     for rest in itertools.product(range(rows.shape[1]), repeat=len(rows) - 1):
-        value = float(np.ptp(rotated_sum(rows, (0, *rest))))
+        value = float(np.ptp(rotated_sum(rotations(rows), (0, *rest))))
         if best is None or value < best:
             best, best_shifts = value, (0, *rest)
     return best_shifts
@@ -23,7 +23,7 @@ def reference_approximate(devs):
     """block_approximate by its definition: each block solved alone, then its super-row rotated."""
     blocks = split_disk_blocks(devs.n_disks)
     internal = [lex_first_range_optimum(devs.devs[block]) for block in blocks]
-    super_rows = np.array([rotated_sum(devs.devs[block], s) for block, s in zip(blocks, internal)])
+    super_rows = np.array([rotated_sum(rotations(devs.devs[block]), s) for block, s in zip(blocks, internal)])
     rot = lex_first_range_optimum(super_rows)
     return tuple((s + rot[g]) % devs.n_segments for g in range(len(blocks)) for s in internal[g])
 
