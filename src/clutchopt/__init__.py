@@ -16,7 +16,6 @@ from .bench import (
     parse_config,
     parse_results,
     run_benchmark,
-    write_results,
 )
 from .errors import ConfigError, InvalidInputError, ProblemTooLargeError
 from .qubo import (

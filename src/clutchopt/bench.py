@@ -17,9 +17,9 @@ import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError, ProblemTooLargeError
+from .errors import ConfigError, InvalidInputError, ProblemTooLargeError, check_integer
 from .rng import derive_seed
-from .solvers import SOLVER_NAMES, SOLVER_OBJECTIVES, SOLVER_PARAMS, solve
+from .solvers import SOLVER_PARAMS, check_params, solve
 from .solvers.result import REPORTED_FIELDS, format_value
 from .stack import (
     DEFAULT_MAX_VARIATION,
@@ -30,7 +30,7 @@ from .stack import (
 
 DEFAULT_BASE_SEED = 20240817
 
-# config parameter types; each is the solve() parameter of the same name but budget
+# config solver keys and their types: solve()'s parameters, budget for budget_seconds, and no seed
 _SOLVER_PARAM_TYPES = {
     "samples": int,
     "sweeps": int,
@@ -58,23 +58,15 @@ class SolverSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.name not in SOLVER_NAMES:
-            raise ConfigError(f"unknown solver {self.name!r}; expected one of {SOLVER_NAMES}")
-        for key in self.params:
-            if key not in _SOLVER_PARAM_TYPES or _SOLVE_KWARGS.get(key, key) not in SOLVER_PARAMS[self.name]:
-                raise ConfigError(f"{self.name} does not take {key}")
-        objectives = SOLVER_OBJECTIVES[self.name]
-        if self.params.get("objective", objectives[0]) not in objectives:
-            raise ConfigError(
-                f"{self.name} optimizes {' or '.join(objectives)} only, not {self.params['objective']!r}"
-            )
-        if not self.params.get("budget", 0) >= 0:  # also false for NaN
-            raise ConfigError(f"budget must be >= 0 seconds, got {self.params['budget']!r}")
-        for key in ("samples", "sweeps"):
-            if not self.params.get(key, 1) >= 1:
-                raise ConfigError(f"{key} must be >= 1, got {self.params[key]!r}")
-        if not 0 < self.params.get("rho", 1.0) < math.inf:  # also false for NaN
-            raise ConfigError(f"rho must be finite and > 0, got {self.params['rho']!r}")
+        try:
+            check_params(self.name, self.solve_kwargs())
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from None
+        if unknown := self.params.keys() - _SOLVER_PARAM_TYPES.keys():
+            raise ConfigError(f"{self.name} does not take {', '.join(sorted(unknown))}")
+
+    def solve_kwargs(self) -> dict:
+        return {_SOLVE_KWARGS.get(key, key): value for key, value in self.params.items()}
 
 
 @dataclass(frozen=True)
@@ -93,8 +85,11 @@ class BenchmarkConfig:
         for nd, ns in self.sizes:
             if nd < 1 or ns < 1:
                 raise ConfigError(f"bad size ({nd}, {ns})")
-        if self.instances_per_size < 1:
-            raise ConfigError("instances_per_size must be >= 1")
+        try:
+            check_integer("instances_per_size", self.instances_per_size)
+            check_integer("seed", self.base_seed, 0)
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.solvers:
             raise ConfigError("config needs at least one 'solver NAME'")
         names = [spec.name for spec in self.solvers]
@@ -104,7 +99,7 @@ class BenchmarkConfig:
             raise ConfigError("a0 and delta must be finite")
         if self.max_variation < 0:
             raise ConfigError("delta must be >= 0")
-        # format_config writes "out PATH" on one line, which parse_config splits on whitespace and cuts at #
+        # a config line is split on whitespace and cut at #, so "out PATH" cannot hold either
         if self.out is not None and (self.out.split() != [self.out] or "#" in self.out):
             raise ConfigError(f"out must be a non-empty path without whitespace or '#', got {self.out!r}")
 
@@ -187,11 +182,9 @@ def run_benchmark(config: BenchmarkConfig, progress=None) -> list[BenchmarkRecor
 
 
 def _run_one(devs, spec: SolverSpec, inst_seed: int, base: dict) -> BenchmarkRecord:
-    kwargs = {_SOLVE_KWARGS.get(key, key): value for key, value in spec.params.items()}
-    if "seed" in SOLVER_PARAMS[spec.name]:
-        kwargs["seed"] = inst_seed
+    seed = inst_seed if "seed" in SOLVER_PARAMS[spec.name] else None
     try:
-        result = solve(devs, spec.name, **kwargs)
+        result = solve(devs, spec.name, seed=seed, **spec.solve_kwargs())
     except Exception as exc:
         skip = isinstance(exc, ProblemTooLargeError)
         return BenchmarkRecord(
@@ -287,10 +280,6 @@ def parse_results(text: str, fmt: str = "csv") -> list[BenchmarkRecord]:
     return records
 
 
-def write_results(records, path, fmt: str = "csv") -> None:
-    Path(path).write_text(emit_results(records, fmt))
-
-
 def parse_config(text: str) -> BenchmarkConfig:
     """Parse the declarative line-oriented config format.
 
@@ -332,20 +321,6 @@ def parse_config(text: str) -> BenchmarkConfig:
         except (IndexError, ValueError):
             raise ConfigError(f"line {lineno}: cannot parse {raw!r}") from None
     return BenchmarkConfig(sizes=tuple(sizes), solvers=tuple(solvers), **scalars)
-
-
-def format_config(config: BenchmarkConfig) -> str:
-    lines = [f"size {nd} {ns}" for nd, ns in config.sizes]
-    lines.append(f"instances {config.instances_per_size}")
-    lines.append(f"seed {config.base_seed}")
-    lines.append(f"a0 {config.target_thickness:.17g}")
-    lines.append(f"delta {config.max_variation:.17g}")
-    if config.out is not None:
-        lines.append(f"out {config.out}")
-    for spec in config.solvers:
-        items = "".join(f" {k}={format_value(v)}" for k, v in spec.params.items())
-        lines.append(f"solver {spec.name}{items}")
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> BenchmarkConfig:

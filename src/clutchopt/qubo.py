@@ -126,6 +126,16 @@ class InfeasibleSample:
     violations: tuple[tuple[int, int], ...]
 
 
+def check_penalty(rho) -> float:
+    """rho as a float, which float() must read as finite and > 0."""
+    try:
+        if 0 < float(rho) < np.inf:  # false for NaN
+            return float(rho)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidInputError(f"rho must be finite and > 0, got {rho!r}")
+
+
 def build_qubo(devs: DeviationMatrix, rho: float, gauge_fixed: bool = True) -> QuboModel:
     """Expand the squared profile norm plus one-hot penalties into coefficients.
 
@@ -134,16 +144,16 @@ def build_qubo(devs: DeviationMatrix, rho: float, gauge_fixed: bool = True) -> Q
     objective cross term; symmetric cross terms are folded once into the
     upper triangle.
     """
-    if not rho > 0:
-        raise InvalidInputError("rho must be > 0")
+    rho = check_penalty(rho)
     b = devs.devs
     n_disks, n_seg = b.shape
     k0 = 1 if gauge_fixed else 0
     n_movable = n_disks - k0
     n_vars = n_movable * n_seg
 
-    # rot[p, j] is movable row p rotated left by j segments
-    rot = rotations(b)[k0:]
+    # rot[p, j] is movable row p rotated left by j segments, copied with the disk axis innermost: matmul's
+    # summation order follows its operands' layout, and a C-order copy changes the coefficients' last bits
+    rot = np.ascontiguousarray(rotations(b).transpose(1, 2, 0)).transpose(2, 0, 1)[k0:]
     base = b[0] if gauge_fixed else np.zeros(n_seg)
 
     offset = float(base @ base) + rho * n_movable
@@ -166,7 +176,7 @@ def build_qubo(devs: DeviationMatrix, rho: float, gauge_fixed: bool = True) -> Q
         offset=offset,
         linear=linear,
         quadratic=upper,
-        rho=float(rho),
+        rho=rho,
         var_map=_layout(gauge_fixed, n_disks, n_seg),
         gauge_fixed=gauge_fixed,
         n_disks=n_disks,

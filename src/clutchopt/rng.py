@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_integer
+
 _STREAMS = {"instance": 1, "anneal": 2, "bench": 3}
 
 
 def stream_seed_sequence(name: str, seed: int | None, *keys: int) -> np.random.SeedSequence:
-    if name not in _STREAMS:
-        raise KeyError(f"unknown random stream {name!r}")
     spawn = (_STREAMS[name], *(int(k) for k in keys))
     if seed is None:
         return np.random.SeedSequence(spawn_key=spawn)
+    check_integer("seed", seed, 0)
     return np.random.SeedSequence(int(seed), spawn_key=spawn)
 
 

@@ -8,8 +8,8 @@ sa          - simulated annealing on the gauge-fixed binary quadratic model
 
 from __future__ import annotations
 
-from ..errors import InvalidInputError
-from ..qubo import annealing_penalty, build_qubo
+from ..errors import InvalidInputError, check_integer
+from ..qubo import annealing_penalty, build_qubo, check_penalty
 from ..stack import DeviationMatrix
 from .anneal import (
     DEFAULT_SAMPLES,
@@ -20,7 +20,7 @@ from .anneal import (
     simulated_anneal,
 )
 from .blocks import block_approximate, split_disk_blocks
-from .exact import DEFAULT_ENUMERATION_CAP, branch_and_bound, exhaustive_search
+from .exact import DEFAULT_ENUMERATION_CAP, _deadline, branch_and_bound, exhaustive_search
 from .result import SolveResult
 
 # the solve() parameters each solver reads; any other parameter is an error
@@ -50,6 +50,7 @@ __all__ = [
     "SolveResult",
     "block_approximate",
     "branch_and_bound",
+    "check_params",
     "default_beta_range",
     "default_schedule",
     "exhaustive_search",
@@ -57,6 +58,27 @@ __all__ = [
     "solve",
     "split_disk_blocks",
 ]
+
+
+def check_params(solver: str, params: dict) -> str:
+    """Check solver and its solve() params, None meaning not given; return the objective it optimizes."""
+    if solver not in SOLVER_PARAMS:
+        raise InvalidInputError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
+    objectives = SOLVER_OBJECTIVES[solver]
+    for name, value in params.items():
+        if value is None:
+            continue
+        if name not in SOLVER_PARAMS[solver]:
+            raise InvalidInputError(f"{solver} does not take {name}")
+        if name == "objective" and value not in objectives:
+            raise InvalidInputError(f"{solver} optimizes {' or '.join(objectives)} only, not {value!r}")
+        if name in ("samples", "sweeps", "cap"):
+            check_integer(name, value)
+        elif name == "budget_seconds":
+            _deadline(0.0, value)
+        elif name == "rho":
+            check_penalty(value)
+    return params.get("objective") or objectives[0]
 
 
 def solve(
@@ -73,24 +95,12 @@ def solve(
 ) -> SolveResult:
     """Dispatch to a solver by name, passing on only the parameters it reads.
 
-    SOLVER_PARAMS lists them; any other parameter that is not None raises
-    InvalidInputError, and so does an objective the solver does not
-    optimize. exact and approx optimize the range, sa sigma (through the
-    squared L2 objective), exhaustive either (range by default). cap is an
-    enumeration cap: exhaustive defaults to DEFAULT_ENUMERATION_CAP, exact to
-    none.
+    check_params vets them first. exact and approx optimize the range, sa sigma
+    (through the squared L2 objective), exhaustive either (range by default).
+    cap is an enumeration cap, by default DEFAULT_ENUMERATION_CAP on exhaustive and none on exact.
     """
-    if solver not in SOLVER_PARAMS:
-        raise InvalidInputError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
     given = dict(rho=rho, samples=samples, sweeps=sweeps, seed=seed, budget_seconds=budget_seconds, cap=cap)
-    for name, value in given.items():
-        if value is not None and name not in SOLVER_PARAMS[solver]:
-            raise InvalidInputError(f"{solver} does not take {name}")
-    objectives = SOLVER_OBJECTIVES[solver]
-    if objective is None:
-        objective = objectives[0]
-    elif objective not in objectives:
-        raise InvalidInputError(f"{solver} optimizes {' or '.join(objectives)} only, not {objective!r}")
+    objective = check_params(solver, dict(given, objective=objective))
 
     if solver == "exhaustive":
         return exhaustive_search(devs, objective, DEFAULT_ENUMERATION_CAP if cap is None else cap)
@@ -98,7 +108,7 @@ def solve(
         return branch_and_bound(devs, budget_seconds, cap)
     if solver == "approx":
         return block_approximate(devs, budget_seconds)
-    model = build_qubo(devs, annealing_penalty(devs) if rho is None else float(rho), gauge_fixed=True)
+    model = build_qubo(devs, annealing_penalty(devs) if rho is None else rho, gauge_fixed=True)
     return simulated_anneal(
         model,
         default_schedule(model, DEFAULT_SWEEPS if sweeps is None else sweeps),

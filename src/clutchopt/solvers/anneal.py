@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, check_integer
 from ..qubo import InfeasibleSample, QuboModel, decode_solution, evaluate_batch, same_disk
 from ..rng import stream_rng
 from ..stack import DeviationMatrix, canonicalize_shifts
@@ -54,14 +54,6 @@ from .result import SolveResult, scored
 
 DEFAULT_SAMPLES = 35
 DEFAULT_SWEEPS = 1500
-
-
-def _check_count(name: str, value) -> None:
-    """A count is a Python or numpy integer >= 1; a bool or a float is not."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidInputError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,7 @@ class AnnealSchedule:
     beta_final: float = 10.0
 
     def __post_init__(self) -> None:
-        _check_count("sweeps", self.sweeps)
+        check_integer("sweeps", self.sweeps)
         if not (0 < self.beta_initial <= self.beta_final and math.isfinite(self.beta_final)):
             raise InvalidInputError("need 0 < beta_initial <= beta_final < inf")
 
@@ -143,7 +135,7 @@ def simulated_anneal(
     """
     if model.n_vars < 1:
         raise InvalidInputError("model has no variables to anneal")
-    _check_count("samples", samples)
+    check_integer("samples", samples)
     sched = schedule if schedule is not None else default_schedule(model)
 
     t0 = time.perf_counter()

@@ -229,11 +229,12 @@ def exhaustive_search(
 
 def _deadline(t0: float, budget_seconds: float | None) -> float:
     """Wall-clock deadline t0 + budget; no budget never expires."""
-    if budget_seconds is None:
-        return math.inf
-    budget = float(budget_seconds)
+    try:
+        budget = math.inf if budget_seconds is None else float(budget_seconds)
+    except (TypeError, ValueError):
+        budget = math.nan
     if not budget >= 0:  # also false for NaN
-        raise InvalidInputError(f"budget_seconds must be >= 0, got {budget_seconds!r}")
+        raise InvalidInputError(f"budget must be >= 0 seconds, got {budget_seconds!r}")
     return t0 + budget
 
 

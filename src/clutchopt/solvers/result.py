@@ -15,9 +15,9 @@ class SolveResult:
 
     shifts is the canonical shift vector (first entry 0), or None for the
     explicit no-feasible-sample outcome of a random solver, in which case
-    energy still carries the best raw value seen. optimal is True only when
-    the result is proven optimal for the range metric (exact solvers that
-    ran to completion). wall_time covers the core search only. The fields
+    energy still carries the best raw value seen. optimal is True only when the
+    result is proven optimal for the objective the solver optimized (exact solvers
+    that ran to completion). wall_time covers the core search only. The fields
     from shifts to seed are reported, in this order, by `clutchopt solve`.
     """
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 from .rng import stream_rng
 
 DEFAULT_TARGET_THICKNESS = 2.0
@@ -101,23 +102,24 @@ def _as_shift_vector(shifts, n_segments: int, n_disks: int | None = None) -> Shi
     if not raw or n_disks is not None and len(raw) != n_disks:
         raise InvalidInputError(f"expected {n_disks or 'one or more'} shifts, got {len(raw)}")
     for s in raw:
-        if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-            raise InvalidInputError(f"shift {s!r} is not an integer")
-        if not 0 <= s < n_segments:
+        check_integer("shift", s, 0)
+        if s >= n_segments:
             raise InvalidInputError(f"shift {s} outside [0, {n_segments})")
     return tuple(int(s) for s in raw)
 
 
 def rotations(rows: np.ndarray) -> np.ndarray:
-    """Every rotation of every row: tensor[k, j] is row k rotated left by j."""
-    ns = rows.shape[1]
-    return rows[:, (np.arange(ns)[:, None] + np.arange(ns)) % ns]
+    """Every rotation of every row: tensor[k, j] is row k rotated left by j.
+
+    A read-only view, in O(n_rows * n_segments) memory, of windows sliding along each row and its head.
+    """
+    return sliding_window_view(np.concatenate([rows, rows[:, :-1]], axis=1), rows.shape[1], axis=1)
 
 
 def rotated_sum(shifted: np.ndarray, shifts) -> np.ndarray:
     """Sum over rows k of shifted[k, shifts[k]], from a rotations() table, added in row order.
 
-    With one row the sum is a view into the table, so it must not be changed in place.
+    With one row the sum is the table's own read-only view.
     """
     total = shifted[0, shifts[0]]
     for k in range(1, len(shifts)):
@@ -160,8 +162,7 @@ def ln_norm(profile, n) -> float:
     d = _checked(profile, 1, "profile")
     if n == math.inf:
         return float(np.abs(d).max())
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidInputError("norm order must be a positive integer or math.inf")
+    check_integer("norm order", n)
     if n == 1:
         return float(np.abs(d).sum())
     if n == 2:

@@ -7,7 +7,6 @@ from clutchopt.bench import (
     SolverSpec,
     default_config,
     emit_results,
-    format_config,
     parse_config,
     parse_results,
     run_benchmark,
@@ -123,14 +122,22 @@ class TestConfig:
     @pytest.mark.parametrize(
         "out", ["results.csv", "runs/2024-08-17/r.jsonl", "out/a,b;c.csv", "résultats.csv"]
     )
-    def test_parse_round_trip(self, out):
-        config = tiny_config(out=out)
-        assert parse_config(format_config(config)) == config
+    def test_parse_out_path(self, out):
+        text = (
+            "size 2 2\nsize 3 3\ninstances 2\nseed 77\n"
+            f"out {out}\nsolver exhaustive\nsolver exact\nsolver sa samples=10 sweeps=80\n"
+        )
+        assert parse_config(text) == tiny_config(out=out)
 
     @pytest.mark.parametrize("out", ["", "my results.csv", "run#2.csv", " r.csv", "r.csv\n", "a\tb"])
     def test_rejects_out_that_would_not_round_trip(self, out):
         with pytest.raises(ConfigError, match="out must be"):
             tiny_config(out=out)
+
+    @pytest.mark.parametrize("seed", ["-1", "-20240817"])
+    def test_parse_rejects_negative_seed(self, seed):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            parse_config(f"size 2 2\nseed {seed}\nsolver exact\n")
 
     def test_parse_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):

@@ -23,6 +23,13 @@ class TestGenerate:
         assert stack.heights.shape == (3, 4)
         assert np.array_equal(stack.heights, co.generate_instance(3, 4, seed=5).heights)
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "inst.txt"
+        code, _, stderr = run(capsys, "generate", "--nd", "3", "--ns", "4", "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert "error: seed must be >= 0" in stderr
+        assert not out.exists()
+
     def test_bad_dimensions_exit_nonzero(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "generate", "--nd", "0", "--ns", "4", "--out", str(tmp_path / "x")
@@ -94,6 +101,14 @@ class TestSolve:
         )
         assert code == 2
         assert "exact does not take seed" in stderr
+
+    def test_negative_seed_exits_2(self, instance, capsys):
+        code, stdout, stderr = run(
+            capsys, "solve", "--instance", str(instance), "--solver", "sa", "--seed", "-1"
+        )
+        assert code == 2
+        assert "error: seed must be >= 0" in stderr
+        assert stdout == ""
 
     def test_rho_without_export_for_a_solver_that_does_not_read_it_exits_2(self, instance, capsys):
         code, _, stderr = run(
@@ -229,6 +244,19 @@ class TestBench:
         assert code == 2
         assert "No such file" in stderr
         assert stdout == ""  # neither the grid header nor a progress line
+
+    @pytest.mark.parametrize(
+        "line, bad, reason",
+        [("seed 4", "seed -1", "seed must be >= 0"), ("solver exact", "solver exact cap=0", "cap must be >= 1")],
+    )
+    def test_bench_bad_config_fails_before_solving(self, tmp_path, capsys, line, bad, reason):
+        config = tmp_path / "bench.cfg"
+        config.write_text(self.CONFIG.replace(line, bad))
+        out = tmp_path / "r.csv"
+        code, stdout, stderr = run(capsys, "bench", "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert stderr.startswith("error: ") and reason in stderr
+        assert stdout == "" and not out.exists()  # no grid header, no progress line, no results file
 
     def test_bench_bad_config(self, tmp_path, capsys):
         config = tmp_path / "bench.cfg"

@@ -1,5 +1,6 @@
 import re
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestBuildQubo:
         assert co.build_qubo(devs2, 1.0, gauge_fixed=True).n_vars == 3
 
     def test_rejects_nonpositive_rho(self):
-        for rho in (0.0, -1.0):
+        for rho in (0.0, -1.0, math.inf, math.nan, "abc", None):
             with pytest.raises(InvalidInputError):
                 co.build_qubo(EXAMPLE, rho)
 

@@ -193,6 +193,15 @@ class TestSimulatedAnneal:
         with pytest.raises(InvalidInputError, match="must be an integer"):
             co.solve(EXAMPLE, "sa", **count)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "3", np.float64(2.0)])
+    def test_solve_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidInputError, match="seed must be"):
+            co.solve(EXAMPLE, "sa", seed=seed, samples=2, sweeps=5)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = co.solve(EXAMPLE, "sa", seed=np.uint64(7), samples=2, sweeps=5)
+        assert a.shifts == co.solve(EXAMPLE, "sa", seed=7, samples=2, sweeps=5).shifts
+
     def test_numpy_integer_counts_accepted(self):
         sched = AnnealSchedule(sweeps=np.int32(20), beta_initial=0.1, beta_final=10.0)
         result = simulated_anneal(example_model(), sched, samples=np.int64(3), seed=1)

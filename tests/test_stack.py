@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,17 @@ class TestApplyShifts:
             want += np.roll(row, -shift)
         assert got.dtype == np.float64 and not got.flags.writeable
         assert np.array_equal(got, want)
+
+    def test_memory_is_linear_in_the_instance(self):
+        devs = co.deviations(co.generate_instance(20, 500, seed=1))
+        tracemalloc.start()
+        try:
+            co.apply_shifts(devs, tuple(range(20)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few copies of the 80 KB matrix, not the 40 MB table of every rotation
+        assert peak < 1_000_000
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
