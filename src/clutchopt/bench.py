@@ -58,12 +58,14 @@ class SolverSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # the config's key names before any value, so budget_seconds=abc is an unknown key;
+        # an unknown solver is left to check_params
+        if self.name in SOLVER_PARAMS and (unknown := self.params.keys() - _SOLVER_PARAM_TYPES.keys()):
+            raise ConfigError(f"{self.name} does not take {', '.join(sorted(unknown))}")
         try:
             check_params(self.name, self.solve_kwargs())
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from None
-        if unknown := self.params.keys() - _SOLVER_PARAM_TYPES.keys():
-            raise ConfigError(f"{self.name} does not take {', '.join(sorted(unknown))}")
 
     def solve_kwargs(self) -> dict:
         return {_SOLVE_KWARGS.get(key, key): value for key, value in self.params.items()}

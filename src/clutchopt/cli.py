@@ -9,7 +9,7 @@ from collections import defaultdict
 from .bench import default_config, emit_results, load_config, run_benchmark
 from .errors import ConfigError, InvalidInputError, ProblemTooLargeError
 from .qubo import annealing_penalty, build_qubo, export_qubo
-from .solvers import SOLVER_NAMES, SOLVER_PARAMS, solve
+from .solvers import SOLVER_NAMES, SOLVER_PARAMS, check_params, solve
 from .solvers.result import REPORTED_FIELDS, format_value
 from .stack import (
     DEFAULT_MAX_VARIATION,
@@ -64,12 +64,7 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     stack = read_instance(args.instance)
     devs = deviations(stack)
-    if args.export_qubo:
-        rho = args.rho if args.rho is not None else annealing_penalty(devs)
-        export_qubo(build_qubo(devs, rho, gauge_fixed=True), args.export_qubo)
-    result = solve(
-        devs,
-        args.solver,
+    params = dict(
         objective=args.objective,
         # --rho given only to set the export penalty is not the solver's
         rho=None if args.export_qubo and "rho" not in SOLVER_PARAMS[args.solver] else args.rho,
@@ -78,6 +73,11 @@ def _cmd_solve(args) -> int:
         seed=args.seed,
         budget_seconds=args.budget,
     )
+    check_params(args.solver, params)  # before the export, so bad parameters leave no file behind
+    if args.export_qubo:
+        rho = args.rho if args.rho is not None else annealing_penalty(devs)
+        export_qubo(build_qubo(devs, rho, gauge_fixed=True), args.export_qubo)
+    result = solve(devs, args.solver, **params)
     print(f"solver: {result.solver_id}")
     print(f"status: {result.status}")
     for name in REPORTED_FIELDS:

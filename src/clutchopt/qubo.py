@@ -314,32 +314,79 @@ def _blocks(text: str):
         start = end
 
 
-def _q_columns(batch: list[str], n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columns i, j and coeff of a batch of stripped lines that start with Q.
+# the line breaks str.splitlines honours besides "\n"
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
-    The batch is tokenized at once and read by column. It must have 4n
-    tokens for n lines, and exactly n of them "Q", at positions 0, 4, 8, ...
-    Every other token must read as a number, and no number starts with Q,
-    so each line's first token is one of those "Q"s: the n lines start 4
-    tokens apart and each has exactly four. On a failure the lines are read
-    one at a time to name the first bad one.
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _column(tokens: list[str], read, dtype, known: dict) -> np.ndarray:
+    """read(token) for each token as an array; known caches read by text.
+
+    known is emptied when it outgrows PARSE_BLOCK entries, which bounds its memory like a block's.
     """
-    n = len(batch)
-    toks = " ".join(batch).split()
     try:
-        if not len(toks) == 4 * n == 4 * toks.count("Q") == 4 * toks[::4].count("Q"):
-            raise ValueError
-        i = np.fromiter(map(int, toks[1::4]), np.int64, n)
-        j = np.fromiter(map(int, toks[2::4]), np.int64, n)
-        coeff = np.fromiter(map(float, toks[3::4]), np.float64, n)
-        if not np.all((0 <= i) & (i < j) & (j < n_vars)):
-            raise ValueError
-    except (ValueError, OverflowError):
-        if n > 1:
-            for ln in batch:
-                _q_columns([ln], n_vars)
-        raise InvalidInputError(f"bad line: {batch[0]!r}") from None
+        return np.fromiter(map(known.__getitem__, tokens), dtype, len(tokens))
+    except KeyError:
+        if len(known) > PARSE_BLOCK:
+            known.clear()
+        for t in dict.fromkeys(tokens):
+            if t not in known:
+                known[t] = read(t)
+        return np.fromiter(map(known.__getitem__, tokens), dtype, len(tokens))
+
+
+def _read_q(toks: list[str], n: int, n_vars: int, known: tuple[dict, dict]) -> _Columns:
+    """The columns i, j and coeff of n lines that start with Q, from their tokens.
+
+    There must be 4n tokens, with "Q" at positions 0, 4, 8, ... Every other
+    token must read as a number, so none is "Q", and no number starts with
+    Q, so each line's first token is one of those n "Q"s: the n lines start
+    4 tokens apart and each has exactly four. Raises ValueError or
+    OverflowError otherwise.
+
+    Numbers read as int() and float() read them, but each distinct text is
+    read once per parse: known holds the texts read so far, ints for the
+    indices and floats for the coefficients.
+    """
+    if not len(toks) == 4 * n == 4 * toks[::4].count("Q"):
+        raise ValueError
+    ints, floats = known
+    i = _column(toks[1::4], int, np.int64, ints)
+    j = _column(toks[2::4], int, np.int64, ints)
+    coeff = _column(toks[3::4], float, np.float64, floats)
+    if not np.all((0 <= i) & (i < j) & (j < n_vars)):
+        raise ValueError
     return i, j, coeff
+
+
+def _q_columns(batch: list[str], n_vars: int, known: tuple[dict, dict]) -> _Columns:
+    """The columns of a batch of stripped lines that start with Q, tokenized at once.
+
+    On a failure the lines are read one at a time to name the first bad one.
+    """
+    try:
+        return _read_q(" ".join(batch).split(), len(batch), n_vars, known)
+    except (ValueError, OverflowError):
+        if len(batch) > 1:
+            for ln in batch:
+                _q_columns([ln], n_vars, known)
+        raise InvalidInputError(f"bad line: {batch[0]!r}") from None
+
+
+def _bare_q_columns(block: str, n_vars: int, known: tuple[dict, dict]) -> _Columns | None:
+    """The columns of a block of good Q lines, each starting with Q and ended by "\n" alone, else None.
+
+    Such a block, as export_qubo writes them, is tokenized whole, with no
+    line list; a bad line is left to the line-by-line reading to name.
+    """
+    n = block.count("\n") + (not block.endswith("\n"))
+    if block.startswith("Q") and block.count("\nQ") == n - 1 and not any(c in block for c in _OTHER_BREAKS):
+        try:
+            return _read_q(block.split(), n, n_vars, known)
+        except (ValueError, OverflowError):
+            pass
+    return None
 
 
 def parse_qubo(text: str) -> QuboModel:
@@ -354,9 +401,13 @@ def parse_qubo(text: str) -> QuboModel:
     QuboModel; parsing rejects any other varmap.
 
     The text is read in blocks of about PARSE_BLOCK characters cut at
-    newlines. Each block's Q lines are read in bulk by _q_columns, every
-    other line one at a time, and the Q coefficients go straight into the
-    upper triangle of the coupling matrix.
+    newlines. A block of bare Q lines, as the export writes all but the
+    first, is tokenized whole (_bare_q_columns). Otherwise the block's Q
+    lines are read in bulk by _q_columns, and every other line one at a
+    time, a loop skipped when there is none. Both Q readers convert each
+    distinct index or coefficient text once per parse, with int and float.
+    The Q coefficients go straight into the upper triangle of the coupling
+    matrix.
     """
     body = text.lstrip()
     # the first line, ended wherever splitlines would end it
@@ -376,11 +427,17 @@ def parse_qubo(text: str) -> QuboModel:
     lin_index: list[int] = []
     lin_coeff: list[float] = []
     q_parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    known = ({}, {})  # the index and coefficient texts read so far
     for block in _blocks(body[len(head) :]):
+        if (columns := _bare_q_columns(block, n_vars, known)) is not None:
+            q_parts.append(columns)
+            continue
         lines = [ln for ln in map(str.strip, block.splitlines()) if ln]
         batch = [ln for ln in lines if ln[0] == "Q"]
         if batch:
-            q_parts.append(_q_columns(batch, n_vars))
+            q_parts.append(_q_columns(batch, n_vars, known))
+        if len(batch) == len(lines):
+            continue
         for ln in lines:
             if ln[0] == "Q":
                 continue

@@ -78,6 +78,8 @@ def check_params(solver: str, params: dict) -> str:
             _deadline(0.0, value)
         elif name == "rho":
             check_penalty(value)
+        elif name == "seed":
+            check_integer(name, value, 0)
     return params.get("objective") or objectives[0]
 
 

@@ -92,6 +92,9 @@ class TestConfig:
             ("solver sa rho=-1", "rho must be finite and > 0"),
             ("solver sa rho=nan", "rho must be finite and > 0"),
             ("solver sa rho=inf", "rho must be finite and > 0"),
+            # a solve() keyword the config spells otherwise is an unknown key, whatever its value
+            ("solver exact budget_seconds=abc", "exact does not take budget_seconds"),
+            ("solver exact budget_seconds=2", "exact does not take budget_seconds"),
         ],
     )
     def test_parse_errors_keep_their_reason(self, line, reason):

@@ -144,6 +144,24 @@ class TestSolve:
         assert model.n_vars == 8
         assert model.gauge_fixed
 
+    @pytest.mark.parametrize(
+        "flags, message", [(["--samples", "0"], "samples must be >= 1"), (["--seed", "-1"], "seed must be >= 0")]
+    )
+    def test_bad_parameter_writes_no_export(self, instance, tmp_path, capsys, flags, message):
+        qubo_path = tmp_path / "x.qubo"
+        code, stdout, stderr = run(
+            capsys,
+            "solve",
+            "--instance", str(instance),
+            "--solver", "sa",
+            *flags,
+            "--export-qubo", str(qubo_path),
+        )
+        assert code == 2
+        assert f"error: {message}" in stderr
+        assert stdout == ""
+        assert not qubo_path.exists()
+
     def test_missing_instance_file(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "solve", "--instance", str(tmp_path / "nope.txt"), "--solver", "exact"

@@ -384,6 +384,70 @@ class TestExport:
         with pytest.raises(InvalidInputError):
             co.parse_qubo(text)
 
+    @staticmethod
+    def _production_lines(seed=1):
+        devs = co.deviations(co.generate_instance(7, 42, 2.0, 0.1, seed=seed))
+        model = co.build_qubo(devs, co.annealing_penalty(devs), gauge_fixed=True)
+        return model, co.export_qubo(model).splitlines()
+
+    @pytest.mark.parametrize("block", [16, 256])
+    def test_block_size_does_not_change_the_model(self, block, monkeypatch):
+        # small blocks cut the Q lines into many bare blocks and overflow the caches of read texts
+        model, lines = self._production_lines()
+        monkeypatch.setattr(co.qubo, "PARSE_BLOCK", block)
+        self._assert_models_equal(co.parse_qubo("\n".join(lines) + "\n"), model)
+        self._assert_models_equal(co.parse_qubo("\r\n".join(lines)), model)
+
+    def test_numerals_read_as_int_and_float_read_them(self):
+        # Q lines spread over every block, the later ones read a block at a time; a spelling
+        # int() or float() reads must give the canonical value, in a column with canonical texts
+        model, lines = self._production_lines()
+        index_spellings = [lambda t: "+" + t, lambda t: "0" + t, lambda t: "_".join(t),
+                           lambda t: t.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))]
+        coeff_spellings = [lambda c: c + "e0" if "e" not in c else c.replace("e", "0E"),
+                           lambda c: repr(float(c)), lambda c: c if c.startswith("-") else "+" + c]
+        q = [p for p, ln in enumerate(lines) if ln.startswith("Q ")]
+        for n, p in enumerate(q[::97]):
+            _, i, j, c = lines[p].split()
+            spelled = index_spellings[n % 4]
+            i, j = (spelled(i), j) if n % 2 else (i, spelled(j))
+            lines[p] = f"Q {i} {j} {coeff_spellings[n % 3](c)}"
+        assert sum(ln != canon for ln, canon in zip(lines, co.export_qubo(model).splitlines())) > 300
+        self._assert_models_equal(co.parse_qubo("\n".join(lines) + "\n"), model)
+
+    @pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_every_line_break_of_splitlines_ends_a_q_line(self, brk):
+        model, lines = self._production_lines()
+        at = len(lines) - 1000
+        joined = "\n".join(lines[:at]) + brk + "\n".join(lines[at:]) + "\n"
+        self._assert_models_equal(co.parse_qubo(joined), model)
+        split = lines[at].rsplit(" ", 1)
+        lines[at] = brk.join(split)
+        with pytest.raises(InvalidInputError, match=re.escape(repr(split[0]))):
+            co.parse_qubo("\n".join(lines) + "\n")
+
+    def test_q_lines_must_each_hold_one_q_line(self):
+        # layouts that keep the block's tokens in fours, each Q at a multiple of 4
+        model, lines = self._production_lines()
+        at = len(lines) - 1000
+        indented = lines[:at] + ["\t" + lines[at]] + lines[at + 1 :]
+        self._assert_models_equal(co.parse_qubo("\n".join(indented) + "\n"), model)
+        merged = lines[:at] + [lines[at] + " " + lines[at + 1], ""] + lines[at + 2 :]
+        head, tail = lines[at].rsplit(" ", 1)
+        moved = lines[:at] + [head, tail + " " + lines[at + 1]] + lines[at + 2 :]
+        for bad in (merged, moved):
+            with pytest.raises(InvalidInputError, match="bad line"):
+                co.parse_qubo("\n".join(bad) + "\n")
+
+    def test_a_bad_coefficient_given_twice_names_its_first_line(self):
+        _, lines = self._production_lines()
+        q = [p for p, ln in enumerate(lines) if ln.startswith("Q ")]
+        bad = [q[-2000], q[-1990], q[-20]]
+        for p in bad:
+            lines[p] = lines[p].rsplit(" ", 1)[0] + " 1.0.0"
+        with pytest.raises(InvalidInputError, match=f"^bad line: {re.escape(repr(lines[bad[0]]))}$"):
+            co.parse_qubo("\n".join(lines) + "\n")
+
     def test_parse_error_names_the_bad_q_line(self):
         model = co.build_qubo(co.deviations(co.generate_instance(3, 4, seed=7)), 2.0, gauge_fixed=True)
         lines = co.export_qubo(model).splitlines()
