@@ -84,14 +84,18 @@ class BenchmarkConfig:
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ConfigError("config needs at least one 'size ND NS'")
-        for nd, ns in self.sizes:
-            if nd < 1 or ns < 1:
-                raise ConfigError(f"bad size ({nd}, {ns})")
         try:
+            for nd, ns in self.sizes:
+                check_integer("n_disks", nd)
+                check_integer("n_segments", ns)
             check_integer("instances_per_size", self.instances_per_size)
             check_integer("seed", self.base_seed, 0)
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from None
+        # rows are keyed by instance, nd{ND}_ns{NS}_i{index}, so a repeated size would repeat them
+        if len(set(self.sizes)) < len(self.sizes):
+            listed = ", ".join(f"{nd} {ns}" for nd, ns in self.sizes)
+            raise ConfigError(f"a size is listed more than once: {listed}")
         if not self.solvers:
             raise ConfigError("config needs at least one 'solver NAME'")
         names = [spec.name for spec in self.solvers]

@@ -5,9 +5,9 @@ shift 0, leaving n_segments**(n_disks-1) candidate configurations, and
 walk them in the same lex order. The trailing few disks are always
 evaluated as one vectorized block, so the Python-level loop stays short.
 
-The range solver stores that block transposed, one row per segment, and
-takes the prefix profiles a batch at a time. The first batch is ranged on
-every segment; later batches are screened in float32 on each profile's
+The range solver stores that block transposed, one row per segment. It
+seeds the incumbent by ranging the lex-first prefix in float64, then
+screens the prefix profiles a batch at a time in float32 on each profile's
 most extreme segments, where a leaf's maximum and minimum usually fall.
 The range over a subset of segments never exceeds the full range, so a
 leaf whose screened range reaches the incumbent, less a margin for the
@@ -35,7 +35,7 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 _TAIL_BLOCK = 4096
 # leaves the range solver screens per batch of prefix profiles
 _BATCH_LEAVES = 16384
-# each leaf after the first batch is screened on its prefix's this many highest and as many lowest segments
+# each leaf of a batch is screened on its prefix's this many highest and as many lowest segments
 _SCREEN_EXTREMES = 3
 # slack of the float32 screen on values scaled into (-1, 1), 16 * 2**-24: see _screened_ranges
 _SINGLE_MARGIN = 2.0**-20
@@ -51,7 +51,7 @@ def _tail_table(shifted: np.ndarray, disks) -> np.ndarray:
 
 
 def _tail_columns(shifted: np.ndarray, disks, spare_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """_tail_table transposed to (n_segments, n_combos) from the same sums, and a spare buffer.
+    """_tail_table transposed to (n_segments, n_combos) from the same sums, and the screen's buffer.
 
     Both share one allocation, the buffer a flat spare_rows * n_combos floats
     behind the table: one large block, which the allocator can map and unmap
@@ -77,17 +77,13 @@ def _tail_split(n_free: int, n_segments: int) -> int:
 
 
 def _prefix_batches(shifted: np.ndarray, n_pre: int, batch: int):
-    """(combos, profiles) for all n_pre prefix disks, in lex order, up to batch at a time.
+    """(combos, profiles) for all n_pre >= 1 prefix disks, in lex order, up to batch at a time.
 
     The last prefix disk's shift varies within a batch, and profiles[t] is
     rotated_sum(shifted, (0, *combos[t])), bit for bit: the other disks are
     summed once per batch, and that sum plus the last disk's rotation is the
-    last addition rotated_sum makes. With no prefix disks the one batch is
-    row 0 alone.
+    last addition rotated_sum makes.
     """
-    if n_pre == 0:
-        yield [()], shifted[0, :1]
-        return
     ns = shifted.shape[2]
     last = shifted[n_pre]
     for outer in itertools.product(range(ns), repeat=n_pre - 1):
@@ -241,67 +237,70 @@ def _deadline(t0: float, budget_seconds: float | None) -> float:
 def _range_search(shifted: np.ndarray, deadline: float):
     """Range-optimal enumeration in exhaustive_search's order, sums and tie-break.
 
-    shifted is the rotations() table of the rows. The identity shifts seed
-    the incumbent. The prefix profiles come in batches of about
-    _BATCH_LEAVES leaves, each added to the tail table transposed to
-    (n_segments, n_combos). The first batch is ranged on every segment in
-    float64; with no prefix disks it is the only batch, as in every
-    sub-search of block_approximate at 42 segments. Later batches go through
-    _screened_ranges. The first minimum in a batch's flat (prefix, tail)
-    order is its lex-first one, and only a strictly lower range replaces the
-    incumbent. One allocation, made with the tail table, holds the first
-    batch's blocks, then the float32 table, written for the second batch,
-    and the blocks of the screen and the finish.
+    shifted is the rotations() table of the rows. The leaves of the lex-first
+    prefix are ranged in float64, as exhaustive_search's one addition to the
+    tail table transposed to (n_segments, n_combos), and their first minimum
+    seeds the incumbent: with no prefix disks, the whole search, as in every
+    sub-search of block_approximate at 42 segments. Otherwise every batch of
+    about _BATCH_LEAVES leaves, the first covering that prefix again, goes
+    through _screened_ranges. The first minimum in a batch's flat (prefix,
+    tail) order is its lex-first one, and only a strictly lower range
+    replaces the incumbent. One allocation, made with the tail table, holds
+    the float32 table and the blocks of the screen and the finish.
 
-    Returns (shifts, leaves evaluated, completed). The search stops when the
-    incumbent range is 0, which no leaf can beat, counting the leaves up to
-    the prefix that reached it, as a loop over single prefixes would; or,
-    incomplete, when the deadline has passed at the start of a batch.
+    Returns (shifts, leaves evaluated, completed), each leaf counted once.
+    The identity range 0, or a deadline passed before any ranging, returns
+    the identity with 0 leaves. The search stops when the incumbent range is
+    0, counting the leaves up to the prefix that reached it, as a loop over
+    single prefixes would; or, incomplete, when the deadline has passed at
+    the start of a batch.
     """
     n, ns = shifted.shape[:2]
     if n == 1:
         return (0,), 1, True
     m = _tail_split(n - 1, ns)
     n_pre, n_combos = n - 1 - m, ns**m
-    batch = max(1, _BATCH_LEAVES // n_combos) if n_pre else 1
+    batch = max(1, _BATCH_LEAVES // n_combos)
     r = min(_SCREEN_EXTREMES, ns // 2)
     picks = np.arange(-r, r) % ns  # in a profile's argsort, its r highest and r lowest segments
-    # in rows of n_combos floats: at least 16 for the first batch's fold; later the float32
-    # table and the float32 screen's blocks, two to a row
-    copy_rows = -(-ns // 2) if n_pre else 0
-    spare_rows = max(16, copy_rows + -(-batch * len(picks) // 2))
+    # in rows of n_combos floats: the float32 table, then the float32 screen's blocks, two to a row
+    copy_rows = -(-ns // 2)
+    spare_rows = copy_rows + -(-batch * len(picks) // 2) if n_pre else 0
     # one buffer per search: a block this size allocated per batch would be a fresh mmap each time
     table, spare = _tail_columns(shifted, range(n - m, n), spare_rows)
-    best_key = ((0,) * n_pre, 0)
-    best = float(np.ptp(rotated_sum(shifted, (0, *best_key[0])) + table[:, 0]))
+    prefix = (0,) * n_pre
+    first = rotated_sum(shifted, (0, *prefix))
+    zero = float(np.ptp(first + table[:, 0])) == 0.0
+    if zero or time.perf_counter() > deadline:  # the identity, proven optimal if its range is 0
+        return _shift_vector(prefix, 0, ns, m), 0, zero
+    vals = np.ptp(table + first[:, None], axis=0)
+    best_key = (prefix, int(np.argmin(vals)))
+    best = float(vals[best_key[1]])
+    if n_pre == 0:
+        return _shift_vector(*best_key, ns, m), n_combos, True
+    scaled = _single_precision(table, shifted[:, 0], spare)
+    buf = spare[copy_rows * n_combos :]
     leaves = 0
     completed = True
-    scaled, buf = None, spare[copy_rows * n_combos :]
     for combos, profiles in _prefix_batches(shifted, n_pre, batch):
         if best == 0.0:
             break
         if time.perf_counter() > deadline:
             completed = False
             break
-        if leaves == 0:  # the first batch
-            order = np.broadcast_to(np.arange(ns), profiles.shape)
-            hi, lo = _fold_ranges(table, order, profiles, np.arange(ns), spare)
-            vals, keep = hi - lo, None
-        else:
-            if scaled is None:
-                scaled = _single_precision(table, shifted[:, 0], spare)
-            vals, keep = _screened_ranges(table, scaled, profiles, picks, buf, best)
+        vals, keep = _screened_ranges(table, scaled, profiles, picks, buf, best)
         leaves += len(combos) * n_combos
         if vals.size == 0:
             continue
         i = int(np.argmin(vals))
         if vals[i] < best:
             best = float(vals[i])
-            t, j = divmod(i if keep is None else int(keep[i]), n_combos)
+            t, j = divmod(int(keep[i]), n_combos)
             best_key = (combos[t], j)
             if best == 0.0:
                 leaves -= (len(combos) - 1 - t) * n_combos
-    return _shift_vector(*best_key, ns, m), leaves, completed
+    # the lex-first prefix is counted with the first batch, which ranges it again; before that batch, alone
+    return _shift_vector(*best_key, ns, m), max(leaves, n_combos), completed
 
 
 def branch_and_bound(

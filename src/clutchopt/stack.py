@@ -51,6 +51,8 @@ class DiskStack:
             raise InvalidInputError("target_thickness and max_variation must be finite")
         if self.max_variation < 0:
             raise InvalidInputError("max_variation must be >= 0")
+        if self.seed is not None:
+            check_integer("seed", self.seed, 0)
 
     @property
     def n_disks(self) -> int:
@@ -202,8 +204,8 @@ def generate_instance(
     seed reproduces the identical matrix bit for bit; heights come from the
     dedicated "instance" stream so they never overlap annealer randomness.
     """
-    if n_disks < 1 or n_segments < 1:
-        raise InvalidInputError("need n_disks >= 1 and n_segments >= 1")
+    check_integer("n_disks", n_disks)
+    check_integer("n_segments", n_segments)
     if max_variation < 0:
         raise InvalidInputError("max_variation must be >= 0")
     rng = stream_rng("instance", seed)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from clutchopt.bench import (
@@ -58,6 +59,11 @@ class TestConfig:
             SolverSpec("warp-drive")
         with pytest.raises(ConfigError):
             SolverSpec("sa", {"warp": 1})
+        # a size is two integers >= 1: a float or a bool is not, a numpy integer is
+        for size in [(2.5, 4), (2, 4.0), (True, 4), (2, 0)]:
+            with pytest.raises(ConfigError):
+                tiny_config(sizes=(size,))
+        assert tiny_config(sizes=((np.int64(2), np.int64(4)),)).sizes == ((2, 4),)
 
     @pytest.mark.parametrize(
         "lines", ["a0 nan\ndelta nan\n", "a0 nan\n", "delta nan\n", "delta inf\n", "a0 -inf\n"]
@@ -121,6 +127,13 @@ class TestConfig:
             parse_config("size 2 2\nsolver sa samples=2 sweeps=5\nsolver sa samples=3 sweeps=50\n")
         with pytest.raises(ConfigError, match="more than once"):
             tiny_config(solvers=(SolverSpec("exact"), SolverSpec("approx"), SolverSpec("exact")))
+
+    def test_rejects_a_size_listed_twice(self):
+        # rows are keyed by instance, so a repeated size would repeat its nd2_ns4_i0 rows
+        with pytest.raises(ConfigError, match="more than once: 2 4, 3 4, 2 4"):
+            parse_config("size 2 4\nsize 3 4\nsize 2 4\nsolver exact\n")
+        with pytest.raises(ConfigError, match="more than once"):
+            tiny_config(sizes=((2, 2), (2, 2)))
 
     @pytest.mark.parametrize(
         "out", ["results.csv", "runs/2024-08-17/r.jsonl", "out/a,b;c.csv", "résultats.csv"]

@@ -265,7 +265,11 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "line, bad, reason",
-        [("seed 4", "seed -1", "seed must be >= 0"), ("solver exact", "solver exact cap=0", "cap must be >= 1")],
+        [
+            ("seed 4", "seed -1", "seed must be >= 0"),
+            ("solver exact", "solver exact cap=0", "cap must be >= 1"),
+            ("size 3 3", "size 3 3\nsize 2 3", "a size is listed more than once: 2 3, 3 3, 2 3"),
+        ],
     )
     def test_bench_bad_config_fails_before_solving(self, tmp_path, capsys, line, bad, reason):
         config = tmp_path / "bench.cfg"

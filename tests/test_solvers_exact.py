@@ -147,10 +147,10 @@ class TestBranchAndBound:
         sigma, spread = co.shift_metrics(devs, result.shifts)
         assert spread == pytest.approx(result.range, rel=1e-9)
 
-    # (3, 42): no prefix disk, so one batch, ranged on every segment; (4, 42): batches of 9
-    # prefixes, the last of 6; (6, 10) and (5, 20): one batch per outer prefix disk's shift. At
-    # (4, 20), (4, 24) and (5, 10) all prefixes fit in one batch, so batches are shrunk to reach
-    # the float32 screen.
+    # (3, 42): no prefix disk, so ranging the lex-first prefix is the whole search; (4, 42):
+    # batches of 9 prefixes, the last of 6; (6, 10) and (5, 20): one batch per outer prefix disk's
+    # shift. At (4, 20), (4, 24) and (5, 10) all prefixes fit in one batch, so batches are shrunk
+    # to screen more than one.
     @pytest.mark.parametrize(
         "nd, ns, batch_leaves",
         [
@@ -224,9 +224,8 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize(
         "nd, ns, prefix, leaves",
-        # batches of 9, 16 and 16 prefixes; the zero falls inside the second batch (float32), the
-        # first and only one (ranged on every segment), and the batch after an outer prefix disk's
-        # first (float32)
+        # batches of 9, 16 and 16 prefixes, all screened in float32; the zero falls inside the
+        # second batch, the first and only one, and the batch after an outer prefix disk's first
         [(4, 42, (12,), 13 * 42**2), (5, 10, (3,), 4 * 10**3), (6, 10, (1, 2), 13 * 10**3)],
     )
     def test_zero_range_stops_after_its_prefix(self, nd, ns, prefix, leaves):
@@ -261,7 +260,7 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-40, 1.0, 1e39, 1e300])
     def test_float32_screen_at_extreme_magnitudes(self, scale):
-        # 4x42 screens 4 of its 5 batches in float32; unscaled, float32 overflows at 1e300 and
+        # 4x42 screens its 5 batches in float32; unscaled, float32 overflows at 1e300 and
         # at 1e39 rounds far beyond the margin, and without the margin the near ties are lost
         instances = [co.deviations(co.generate_instance(4, 42, seed=seed)).devs for seed in range(2)]
         for rows in instances + [near_tie_rows(seed) for seed in range(3)]:
@@ -301,6 +300,14 @@ class TestBranchAndBound:
         devs = co.deviations(co.generate_instance(4, 6, seed=3))
         assert not co.branch_and_bound(devs, budget_seconds=0.0).optimal
         assert co.branch_and_bound(devs, budget_seconds=float("inf")).optimal
+
+    def test_zero_budget_with_prefix_disks_returns_the_identity(self):
+        # 5x42 has a prefix disk, so the deadline is checked before the lex-first prefix is ranged
+        devs = co.deviations(co.generate_instance(5, 42, seed=1))
+        result = co.branch_and_bound(devs, budget_seconds=0)
+        assert result.shifts == (0,) * 5
+        assert result.nodes_explored == 0
+        assert not result.optimal
 
     @given(
         st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=8),

@@ -286,6 +286,11 @@ class TestGenerateInstance:
             co.generate_instance(4, 0)
         with pytest.raises(InvalidInputError):
             co.generate_instance(2, 2, 2.0, -0.1)
+        # a size is an integer: a float or a bool is not, a numpy integer is
+        for nd, ns in [(2.5, 3), (True, 3), (3, 4.0), (3, False)]:
+            with pytest.raises(InvalidInputError, match="must be an integer"):
+                co.generate_instance(nd, ns)
+        assert co.generate_instance(np.int64(2), np.int64(3), seed=1).heights.shape == (2, 3)
 
     @pytest.mark.parametrize(
         "a0, delta",
@@ -352,6 +357,14 @@ class TestInstanceFile:
     def test_parse_errors(self, text):
         with pytest.raises(InvalidInputError):
             co.stack.parse_instance(text)
+
+    def test_parse_rejects_a_seed_generate_instance_refuses(self):
+        # a seed is an integer >= 0, as generate_instance requires, so the instance can be regenerated
+        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+            co.stack.parse_instance("2 2\n2.0 0.1 -7\n1 2\n3 4")
+        with pytest.raises(InvalidInputError, match="seed must be"):
+            co.DiskStack(np.zeros((2, 2)), seed=1.5)
+        assert co.stack.parse_instance("2 2\n2.0 0.1 7\n1 2\n3 4").seed == 7
 
     @pytest.mark.parametrize("header", ["nan nan -", "2.0 nan -", "inf 0.1 -", "2.0 inf 0"])
     def test_parse_rejects_non_finite_header(self, header):
