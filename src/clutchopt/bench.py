@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -24,6 +23,7 @@ from .solvers.result import REPORTED_FIELDS, format_value
 from .stack import (
     DEFAULT_MAX_VARIATION,
     DEFAULT_TARGET_THICKNESS,
+    check_band,
     deviations,
     generate_instance,
 )
@@ -85,11 +85,14 @@ class BenchmarkConfig:
         if not self.sizes:
             raise ConfigError("config needs at least one 'size ND NS'")
         try:
-            for nd, ns in self.sizes:
-                check_integer("n_disks", nd)
-                check_integer("n_segments", ns)
+            for size in self.sizes:
+                if not (isinstance(size, tuple) and len(size) == 2):
+                    raise InvalidInputError(f"a size is a pair (n_disks, n_segments), got {size!r}")
+                check_integer("n_disks", size[0])
+                check_integer("n_segments", size[1])
             check_integer("instances_per_size", self.instances_per_size)
             check_integer("seed", self.base_seed, 0)
+            check_band(self.target_thickness, self.max_variation)
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from None
         # rows are keyed by instance, nd{ND}_ns{NS}_i{index}, so a repeated size would repeat them
@@ -101,10 +104,6 @@ class BenchmarkConfig:
         names = [spec.name for spec in self.solvers]
         if len(set(names)) < len(names):
             raise ConfigError(f"a solver is listed more than once: {', '.join(names)}")
-        if not (math.isfinite(self.target_thickness) and math.isfinite(self.max_variation)):
-            raise ConfigError("a0 and delta must be finite")
-        if self.max_variation < 0:
-            raise ConfigError("delta must be >= 0")
         # a config line is split on whitespace and cut at #, so "out PATH" cannot hold either
         if self.out is not None and (self.out.split() != [self.out] or "#" in self.out):
             raise ConfigError(f"out must be a non-empty path without whitespace or '#', got {self.out!r}")

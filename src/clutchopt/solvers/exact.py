@@ -4,8 +4,10 @@ Both solvers exploit the global rotational symmetry and fix disk 0 at
 shift 0, leaving n_segments**(n_disks-1) candidate configurations, and
 walk them in the same lex order. The trailing few disks are always
 evaluated as one vectorized block, so the Python-level loop stays short.
+One function builds that block, one row per segment; exhaustive_search
+ranges a transposed copy.
 
-The range solver stores that block transposed, one row per segment. It
+The range solver adds each prefix profile to the block's columns. It
 seeds the incumbent by ranging the lex-first prefix in float64, then
 screens the prefix profiles a batch at a time in float32 on each profile's
 most extreme segments, where a leaf's maximum and minimum usually fall.
@@ -41,20 +43,12 @@ _SCREEN_EXTREMES = 3
 _SINGLE_MARGIN = 2.0**-20
 
 
-def _tail_table(shifted: np.ndarray, disks) -> np.ndarray:
-    """All shift combinations of the given disks, summed, in lex order."""
-    ns = shifted.shape[2]
-    table = np.zeros((1, ns))
-    for k in disks:
-        table = (table[:, None, :] + shifted[k][None, :, :]).reshape(-1, ns)
-    return table
-
-
 def _tail_columns(shifted: np.ndarray, disks, spare_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """_tail_table transposed to (n_segments, n_combos) from the same sums, and the screen's buffer.
+    """All shift combinations of the given disks, summed, one column each in lex order, and a buffer.
 
-    Both share one allocation, the buffer a flat spare_rows * n_combos floats
-    behind the table: one large block, which the allocator can map and unmap
+    The table is (n_segments, n_combos), its sums added in disk order. It
+    and the buffer, a flat spare_rows * n_combos floats behind it, share one
+    allocation: one large block, which the allocator can map and unmap
     whole, left a lower peak RSS than a separate table and buffer.
     shifted[k] is symmetric, since segment j of row k rotated by s is row
     k's segment (j + s) % n_segments, so it serves as its own transpose.
@@ -93,55 +87,36 @@ def _prefix_batches(shifted: np.ndarray, n_pre: int, batch: int):
             yield [(*outer, s) for s in range(first, first + len(profiles))], profiles
 
 
-def _fold_ranges(table, order, ranked, cols, buf):
-    """Max and min, flat over (t, j), of ranked[t, p] + table[order[t, p], j] over the positions p in cols.
-
-    The blocks go through buf, as many positions at a time as it holds.
-    """
-    hi = lo = None
-    width = buf.size // (len(order) * table.shape[1])
-    for c in range(0, len(cols), width):
-        part = cols[c : c + width]
-        seg = order[:, part]
-        block = buf[: seg.size * table.shape[1]].reshape(*seg.shape, table.shape[1])
-        np.take(table, seg, axis=0, out=block, mode="clip")  # mode="raise" copies through a temporary
-        block += ranked[:, part, None]
-        top = block.max(axis=1).ravel()
-        bottom = block.min(axis=1).ravel()
-        if hi is None:
-            hi, lo = top, bottom
-        else:
-            np.maximum(hi, top, out=hi)
-            np.minimum(lo, bottom, out=lo)
-    return hi, lo
-
-
 def _screened_ranges(table, scaled, profiles, picks: np.ndarray, buf: np.ndarray, best: float):
     """Full ranges of the batch's leaves that may beat best, and their flat indices.
 
     Leaf (t, j), at flat index t * n_combos + j, is profiles[t] plus column
     j of table; scaled = (table32, e) is table * 2**-e in float32, which puts
-    every leaf value in (-1, 1). Each leaf is ranged in float32, through buf
-    viewed as float32, over picks, positions in its profile's argsort, and
-    kept if that lower bound on its range is below best * 2**-e +
-    _SINGLE_MARGIN. float32 rounds with an error of at most 2**-25 below 1
-    and 2**-24 below 2: the four inputs of a screened range cost at most
-    4 * 2**-25, the two adds and the subtract 3 * 2**-24, and the threshold,
-    below 2 + 2**-20, 2**-23; 7 * 2**-24 in all, which the margin of
-    16 * 2**-24 covers twice over (the float64 sums are far closer still).
-    So every leaf whose float64 range is below best is kept. The survivors
-    are gathered by column and finished in float64; max and min are exact,
-    so every range equals exhaustive_search's bit for bit.
+    every leaf value in (-1, 1). The whole batch is screened as one float32
+    block in buf: the rows of table32 at picks, positions in each profile's
+    argsort, plus the profile's values there, ranged with one max and one
+    min over those segments. A leaf is kept if that lower bound on its range
+    is below best * 2**-e + _SINGLE_MARGIN. float32 rounds with an error of
+    at most 2**-25 below 1 and 2**-24 below 2: the four inputs of a screened
+    range cost at most 4 * 2**-25, the two adds and the subtract 3 * 2**-24,
+    and the threshold, below 2 + 2**-20, 2**-23; 7 * 2**-24 in all, which
+    the margin of 16 * 2**-24 covers twice over (the float64 sums are far
+    closer still). So every leaf whose float64 range is below best is kept.
+    The survivors are gathered by column and finished in float64; max and
+    min are exact, so every range equals exhaustive_search's bit for bit.
     """
     ns, n_combos = table.shape
     table32, e = scaled
     # a stable argsort and a flat take touch less of numpy's sorting code, and so less
     # resident memory, than the default kind and np.sort
-    order = np.argsort(profiles, axis=1, kind="stable")
-    ranked = np.take(profiles, order + np.arange(0, profiles.size, ns)[:, None])
+    seg = np.argsort(profiles, axis=1, kind="stable")[:, picks]
+    ranked = np.take(profiles, seg + np.arange(0, profiles.size, ns)[:, None])
     ranked32 = np.ldexp(ranked, -e).astype(np.float32)
-    hi, lo = _fold_ranges(table32, order, ranked32, picks, buf.view(np.float32))
-    hi -= lo
+    block = buf.view(np.float32)[: seg.size * n_combos].reshape(*seg.shape, n_combos)
+    np.take(table32, seg, axis=0, out=block, mode="clip")  # mode="raise" copies through a temporary
+    block += ranked32[:, :, None]
+    hi = block.max(axis=1).ravel()
+    hi -= block.min(axis=1).ravel()
     keep = np.flatnonzero(hi < np.float32(math.ldexp(best, -e) + _SINGLE_MARGIN))
     vals = np.empty(keep.size)
     width = buf.size // (2 * ns)
@@ -205,7 +180,7 @@ def exhaustive_search(
     else:
         shifted = rotations(b)
         m = _tail_split(n_disks - 1, ns)
-        table = _tail_table(shifted, range(n_disks - m, n_disks))
+        table = np.ascontiguousarray(_tail_columns(shifted, range(n_disks - m, n_disks), 0)[0].T)
         best_val = np.inf
         for combo in itertools.product(range(ns), repeat=n_disks - 1 - m):
             block = rotated_sum(shifted, (0, *combo)) + table
@@ -239,7 +214,7 @@ def _range_search(shifted: np.ndarray, deadline: float):
 
     shifted is the rotations() table of the rows. The leaves of the lex-first
     prefix are ranged in float64, as exhaustive_search's one addition to the
-    tail table transposed to (n_segments, n_combos), and their first minimum
+    tail table, and their first minimum
     seeds the incumbent: with no prefix disks, the whole search, as in every
     sub-search of block_approximate at 42 segments. Otherwise every batch of
     about _BATCH_LEAVES leaves, the first covering that prefix again, goes

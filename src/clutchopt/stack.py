@@ -10,6 +10,7 @@ and their range (highest minus lowest).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +37,15 @@ def _checked(values, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
+def check_band(target_thickness, max_variation) -> None:
+    """Both are finite real numbers, a bool or a str is not, and max_variation >= 0."""
+    for name, value in (("target_thickness", target_thickness), ("max_variation", max_variation)):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
+    if max_variation < 0:
+        raise InvalidInputError(f"max_variation must be >= 0, got {max_variation!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class DiskStack:
     """Element thickness matrix (n_disks x n_segments) plus generation metadata."""
@@ -47,10 +57,7 @@ class DiskStack:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "heights", _checked(self.heights, 2, "heights"))
-        if not (math.isfinite(self.target_thickness) and math.isfinite(self.max_variation)):
-            raise InvalidInputError("target_thickness and max_variation must be finite")
-        if self.max_variation < 0:
-            raise InvalidInputError("max_variation must be >= 0")
+        check_band(self.target_thickness, self.max_variation)
         if self.seed is not None:
             check_integer("seed", self.seed, 0)
 
@@ -206,8 +213,7 @@ def generate_instance(
     """
     check_integer("n_disks", n_disks)
     check_integer("n_segments", n_segments)
-    if max_variation < 0:
-        raise InvalidInputError("max_variation must be >= 0")
+    check_band(target_thickness, max_variation)
     rng = stream_rng("instance", seed)
     low = target_thickness - max_variation / 2.0
     high = target_thickness + max_variation / 2.0

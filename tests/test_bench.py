@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 tiny_config(sizes=(size,))
         assert tiny_config(sizes=((np.int64(2), np.int64(4)),)).sizes == ((2, 4),)
+        # a size is a pair, a tuple of two: the error names the size that is not
+        bad_sizes = [(((2, 4, 5),), "(2, 4, 5)"), (((2,),), "(2,)"), ((2, 4), "2"), (([2, 4],), "[2, 4]")]
+        for sizes, shown in bad_sizes:
+            with pytest.raises(ConfigError, match=f"a size is a pair .*, got {re.escape(shown)}$"):
+                tiny_config(sizes=sizes)
+        # the thickness band is two finite real numbers, a bool or a str is not, and delta >= 0
+        for a0, delta in [("2.0", 0.1), (2.0, "0.1"), (True, 0.1), (2.0, True), (None, 0.1), (2.0, -0.1)]:
+            with pytest.raises(ConfigError):
+                tiny_config(target_thickness=a0, max_variation=delta)
+        assert tiny_config(target_thickness=2, max_variation=np.float32(0.5)).max_variation == 0.5
 
     @pytest.mark.parametrize(
         "lines", ["a0 nan\ndelta nan\n", "a0 nan\n", "delta nan\n", "delta inf\n", "a0 -inf\n"]

@@ -82,8 +82,10 @@ class TestExhaustive:
     @pytest.mark.parametrize("objective", ["range", "sigma"])
     def test_matches_bruteforce(self, objective):
         rng = np.random.default_rng(10)
-        for _ in range(12):
-            devs = random_devs(rng, max_leaves=500)
+        # up to 500 leaves the tail holds every free disk; at 4x17 it holds 2 of 3, so the prefix loop runs
+        for devs in [random_devs(rng, max_leaves=500) for _ in range(12)] + [
+            co.deviations(co.generate_instance(4, 17, seed=10))
+        ]:
             got = co.exhaustive_search(devs, objective=objective)
             value, shifts = brute_optimum(devs, objective)
             metric = got.range if objective == "range" else got.sigma

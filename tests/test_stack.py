@@ -294,11 +294,27 @@ class TestGenerateInstance:
 
     @pytest.mark.parametrize(
         "a0, delta",
-        [(2.0, math.nan), (2.0, math.inf), (math.nan, 0.1), (-math.inf, 0.1), (1.7e308, 1e308)],
+        [
+            (2.0, math.nan),
+            (2.0, math.inf),
+            (math.nan, 0.1),
+            (-math.inf, 0.1),
+            (1.7e308, 1e308),
+            ("2.0", 0.1),
+            (2.0, "0.1"),
+            (True, 0.1),
+            (2.0, True),
+            (None, 0.1),
+            (2.0, -0.1),
+        ],
     )
     def test_rejects_non_finite_band(self, a0, delta):
         with pytest.raises(InvalidInputError):
             co.generate_instance(2, 2, a0, delta)
+        # the stack checks the same rule, all but the band's overflow, which only generation meets
+        if (a0, delta) != (1.7e308, 1e308):
+            with pytest.raises(InvalidInputError, match="must be a finite number|must be >= 0"):
+                co.DiskStack(np.full((2, 2), 2.0), a0, delta)
 
     def test_histogram_bounds_and_mean(self):
         # 10^5 samples: hard bounds plus mean within 3 standard errors
