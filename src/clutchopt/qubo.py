@@ -16,12 +16,13 @@ and a feasible assignment's energy equals that norm with zero penalty.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 from .stack import DeviationMatrix, ShiftVector, _as_shift_vector, rotations
 
 # cross-disk couplings smaller than this fraction of the largest coefficient
@@ -71,45 +72,54 @@ class QuboModel:
     """Quadratic model stored as one dense symmetric coupling matrix.
 
     Variable v encodes (disk k, shift j) with v = (k - k0) * n_segments + j,
-    where k0 is 1 for gauge-fixed models and 0 otherwise. That layout is
-    part of the export format, so var_map must list exactly it.
+    where k0 is 1 for gauge-fixed models and 0 otherwise, so n_vars and
+    var_map follow from gauge_fixed, n_disks and n_segments.
 
-    The constructor takes the strictly upper-triangular coefficients as an
-    n_vars x n_vars array. They are stored once, as the read-only symmetric
-    float64 matrix ``coupling`` with a zero diagonal, and ``quadratic``
-    becomes a read-only {(i, j): coeff} view of it.
+    The constructor takes the n_vars linear coefficients and the strictly
+    upper-triangular coefficients as an n_vars x n_vars array ``upper``.
+    They are stored once, as the read-only float64 ``linear`` and symmetric
+    matrix ``coupling`` with a zero diagonal; ``quadratic`` is a read-only
+    {(i, j): coeff} view of ``coupling``.
     """
 
-    n_vars: int
     offset: float
     linear: np.ndarray
-    quadratic: np.ndarray
+    upper: InitVar[np.ndarray]
     rho: float
-    var_map: tuple[tuple[int, int], ...]
     gauge_fixed: bool
     n_disks: int
     n_segments: int
     coupling: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        n, nd, ns = self.n_vars, self.n_disks, self.n_segments
-        # sizes first, so the layout is built only for a var_map that can match it
-        if not (nd >= 1 and ns >= 1 and (nd - int(self.gauge_fixed)) * ns == n == len(self.var_map)):
-            raise InvalidInputError(f"{n} variables do not fit {nd} disks x {ns} segments")
-        if tuple(self.var_map) != _layout(self.gauge_fixed, nd, ns):
-            raise InvalidInputError("var_map must follow the fixed (disk, shift) layout")
-        lin = np.array(self.linear, dtype=np.float64).reshape(n)
-        lin.setflags(write=False)
-        object.__setattr__(self, "linear", lin)
-        upper = np.asarray(self.quadratic, dtype=np.float64)
-        if upper.shape != (n, n) or np.tril(upper).any():
-            raise InvalidInputError("quadratic array must be strictly upper-triangular")
+    def __post_init__(self, upper) -> None:
+        check_integer("n_disks", self.n_disks)
+        check_integer("n_segments", self.n_segments)
+        n = self.n_vars
+        lin = np.array(self.linear, dtype=np.float64)
+        upper = np.asarray(upper, dtype=np.float64)
+        if not (lin.shape == (n,) and upper.shape == (n, n)):
+            raise InvalidInputError(f"linear and upper do not fit {self.n_disks} disks x {self.n_segments} segments")
+        if np.tril(upper).any():
+            raise InvalidInputError("upper must be strictly upper-triangular")
         coupling = upper + upper.T
         if not (self.rho >= 0 and all(np.isfinite(a).all() for a in (self.offset, self.rho, lin, coupling))):
             raise InvalidInputError("rho must be >= 0 and every number finite")
+        lin.setflags(write=False)
         coupling.setflags(write=False)
+        object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "coupling", coupling)
-        object.__setattr__(self, "quadratic", _PairView(coupling, ns))
+
+    @property
+    def n_vars(self) -> int:
+        return (self.n_disks - int(self.gauge_fixed)) * self.n_segments
+
+    @property
+    def var_map(self) -> tuple[tuple[int, int], ...]:
+        return _layout(self.gauge_fixed, self.n_disks, self.n_segments)
+
+    @cached_property
+    def quadratic(self) -> _PairView:
+        return _PairView(self.coupling, self.n_segments)
 
     def encode(self, shifts) -> np.ndarray:
         shifts = _as_shift_vector(shifts, self.n_segments, self.n_disks)
@@ -171,17 +181,7 @@ def build_qubo(devs: DeviationMatrix, rho: float, gauge_fixed: bool = True) -> Q
     threshold = PRUNE_RELATIVE * max(np.abs(upper).max(initial=0.0), np.abs(linear).max(initial=0.0))
     upper[(np.abs(upper) < threshold) & ~within] = 0.0
 
-    return QuboModel(
-        n_vars=n_vars,
-        offset=offset,
-        linear=linear,
-        quadratic=upper,
-        rho=rho,
-        var_map=_layout(gauge_fixed, n_disks, n_seg),
-        gauge_fixed=gauge_fixed,
-        n_disks=n_disks,
-        n_segments=n_seg,
-    )
+    return QuboModel(offset, linear, upper, rho, gauge_fixed, n_disks, n_seg)
 
 
 def objective_bound(devs: DeviationMatrix) -> float:
@@ -252,6 +252,8 @@ def evaluate_batch(model: QuboModel, assignments: np.ndarray) -> np.ndarray:
     x = np.asarray(assignments, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_vars:
         raise InvalidInputError(f"expected rows of {model.n_vars} bits, got shape {x.shape}")
+    if not np.all((x == 0) | (x == 1)):
+        raise InvalidInputError("assignment entries must be 0 or 1")
     pair = 0.5 * np.einsum("bi,ij,bj->b", x, model.coupling, x)
     return model.offset + x @ model.linear + pair
 
@@ -464,9 +466,15 @@ def parse_qubo(text: str) -> QuboModel:
                 raise InvalidInputError(f"bad line: {ln!r}") from None
     if n_disks is None or n_segments is None:
         raise InvalidInputError("missing '# disks ... segments ...' line")
+    gauge_fixed = gauge_fixed is not False
+    # sizes first, so the layout is built only for a var_map that can match it
+    if not (n_disks >= 1 and n_segments >= 1 and (n_disks - int(gauge_fixed)) * n_segments == n_vars):
+        raise InvalidInputError(f"{n_vars} variables do not fit {n_disks} disks x {n_segments} segments")
     # one varmap line per variable bounds the n_vars x n_vars allocation
     if len(var_map) != n_vars:
         raise InvalidInputError(f"{len(var_map)} varmap lines for {n_vars} variables")
+    if tuple(var_map) != _layout(gauge_fixed, n_disks, n_segments):
+        raise InvalidInputError("var_map must follow the fixed (disk, shift) layout")
     if len(set(lin_index)) < len(lin_index):
         raise InvalidInputError("an L index is given twice")
     i, j, coeff = map(np.concatenate, zip(*q_parts))
@@ -476,17 +484,7 @@ def parse_qubo(text: str) -> QuboModel:
     linear[lin_index] = lin_coeff
     upper = np.zeros((n_vars, n_vars))
     upper[i, j] = coeff
-    return QuboModel(
-        n_vars=n_vars,
-        offset=offset,
-        linear=linear,
-        quadratic=upper,
-        rho=rho,
-        var_map=tuple(var_map),
-        gauge_fixed=gauge_fixed is not False,
-        n_disks=n_disks,
-        n_segments=n_segments,
-    )
+    return QuboModel(offset, linear, upper, rho, gauge_fixed, n_disks, n_segments)
 
 
 def load_qubo(path) -> QuboModel:

@@ -24,18 +24,17 @@ runs costs O(samples * n_vars**2); the table only removes the small numpy
 calls around that product.
 
 Late in the schedule whole sweeps pass in which no chain moves. After such
-a still sweep the states are known, so the loop builds the local field
-x @ coupling + linear once for the still stretch and tests all of the next
-sweep's proposals against it at once. A chain changes only through its own
-accepted flips, and every proposal before the first accepted one sees the
-sweep's starting states, so if none passes against those states the sweep
-moves nothing and is skipped; its order and uniforms are still drawn, which
-keeps the random stream aligned. The field sums each delta in another order
-than the per-proposal dot product, so each variable's test gets a slack of
-4 * n_vars * eps times its magnitude sum |linear| + sum |coupling row|,
-above any difference the two orders can make; a sweep within that slack of
-accepting runs in full. A skipped sweep costs O(samples * n_vars) numpy
-work, plus one O(samples * n_vars**2) matrix product per still stretch.
+a still sweep the states are known, so the loop builds the local field once
+for the still stretch and tests all of the next sweep's proposals against
+it at once. The field takes the same np.vecdot of each state with each
+coupling row as a proposal does, so it equals every proposal's delta bit
+for bit. A chain changes only through its own accepted flips, and every
+proposal before the first accepted one sees the sweep's starting states, so
+a sweep in which no proposal passes against the field is exactly a sweep
+that moves nothing, and is skipped; its order and uniforms are still drawn,
+which keeps the random stream aligned. A skipped sweep costs
+O(samples * n_vars) numpy work, plus one O(samples * n_vars**2) field per
+still stretch.
 """
 
 from __future__ import annotations
@@ -88,11 +87,6 @@ def _objective_scale(model: QuboModel) -> float:
     return float(np.median(nonzero)) if nonzero.size else 0.0
 
 
-def _magnitude_sums(model: QuboModel) -> np.ndarray:
-    """Per variable, |linear| + sum |coupling row|: a bound on its single-flip delta."""
-    return np.abs(model.linear) + np.abs(model.coupling).sum(axis=1)
-
-
 def default_beta_range(model: QuboModel) -> tuple[float, float]:
     """Auto-range the ladder from the model's coefficients.
 
@@ -104,14 +98,14 @@ def default_beta_range(model: QuboModel) -> tuple[float, float]:
     one-hot constraints have long since frozen all movement. Overridable
     through an explicit schedule.
     """
-    field = _magnitude_sums(model)
-    if field.size == 0 or field.max() == 0:
+    sums = np.abs(model.linear) + np.abs(model.coupling).sum(axis=1)
+    if sums.size == 0 or sums.max() == 0:
         return 1.0, 1.0
     smallest = _objective_scale(model)
     if smallest == 0:
         steps = np.abs(np.concatenate([model.linear, model.coupling.ravel()]))
         smallest = float(steps[steps > 0].min())
-    return math.log(2.0) / float(field.max()), math.log(100.0) / smallest
+    return math.log(2.0) / float(sums.max()), math.log(100.0) / smallest
 
 
 def default_schedule(model: QuboModel, sweeps: int = DEFAULT_SWEEPS) -> AnnealSchedule:
@@ -141,12 +135,11 @@ def simulated_anneal(
     t0 = time.perf_counter()
     n = model.n_vars
     coupling, linear = model.coupling, model.linear
-    slack = 4.0 * n * np.finfo(np.float64).eps * _magnitude_sums(model)
     rng = stream_rng("anneal", seed)
     x = rng.integers(0, 2, size=(samples, n)).astype(np.float64)
     flat = x.reshape(-1)
     offsets = np.arange(samples) * n
-    field = None  # flat x @ coupling + linear, kept while the last sweep moved no chain
+    field = None  # flat local field of x, kept while the last sweep moved no chain
     for beta in sched.betas():
         order = np.argsort(rng.random((samples, n)), axis=1)
         unif = rng.random((samples, n))
@@ -156,7 +149,7 @@ def simulated_anneal(
         signs = 1.0 - 2.0 * cur
         with np.errstate(divide="ignore"):
             threshold = np.ascontiguousarray(np.log(unif.T) / -beta)
-        if field is not None and not (signs * field[cell] < threshold + slack[var]).any():
+        if field is not None and not (signs * field[cell] < threshold).any():
             continue
         start = x.copy()
         for v, c, sign, lin, limit, flipped in zip(var, cell, signs, linear[var], threshold, 1.0 - cur):
@@ -166,7 +159,7 @@ def simulated_anneal(
         if not np.array_equal(x, start):
             field = None
         elif field is None:
-            field = (x @ coupling + linear).reshape(-1)
+            field = (np.vecdot(x[:, None], coupling) + linear).reshape(-1)
 
     energies = evaluate_batch(model, x)
     best: tuple[float, tuple[int, ...]] | None = None

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from ..errors import InvalidInputError, ProblemTooLargeError
+from ..errors import InvalidInputError, ProblemTooLargeError, check_integer
 from ..stack import DeviationMatrix, rotated_sum, rotations
 from .result import SolveResult, scored
 
@@ -152,8 +152,10 @@ def _shift_vector(combo, index: int, n_segments: int, m: int) -> tuple[int, ...]
 def _leaves_within(devs: DeviationMatrix, cap: int | None) -> int:
     """n_segments**(n_disks-1) gauge-fixed configurations; ProblemTooLargeError past cap (None: no cap)."""
     leaves = devs.n_segments ** (devs.n_disks - 1)
-    if cap is not None and leaves > cap:
-        raise ProblemTooLargeError(f"{leaves} gauge-fixed configurations exceed the cap of {cap}")
+    if cap is not None:
+        check_integer("cap", cap)
+        if leaves > cap:
+            raise ProblemTooLargeError(f"{leaves} gauge-fixed configurations exceed the cap of {cap}")
     return leaves
 
 

@@ -176,8 +176,14 @@ def ln_norm(profile, n) -> float:
         return float(np.abs(d).sum())
     if n == 2:
         return _root_mean_square(d, 1)
-    e = math.frexp(np.abs(d).max())[1]  # scaled by 2**-e, as in _root_mean_square
-    return math.ldexp(float(np.sum(np.abs(np.ldexp(d, -e)) ** n)) ** (1.0 / n), e)
+    # scaled by the largest magnitude, whose term is then exactly 1: the sum can
+    # neither overflow nor underflow, and terms far below the largest may vanish
+    a = np.abs(d)
+    top = a.max()
+    if top == 0:
+        return 0.0
+    with np.errstate(under="ignore"):
+        return float(top * np.sum((a / top) ** n) ** (1.0 / n))
 
 
 def shift_metrics(devs: DeviationMatrix, shifts) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 import re
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,14 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError):
             co.evaluate(model, [0, 1, 1])
 
+    @pytest.mark.parametrize("value", [2.0, -1.0, math.nan])
+    def test_rejects_entries_other_than_0_and_1(self, value):
+        model = co.build_qubo(co.deviations(co.generate_instance(3, 4, seed=1)), 2.0)
+        with pytest.raises(InvalidInputError, match="assignment entries must be 0 or 1"):
+            co.evaluate(model, [value] * 8)
+        with pytest.raises(InvalidInputError, match="assignment entries must be 0 or 1"):
+            co.evaluate_batch(model, np.full((2, 8), value))
+
     def test_batch_matches_scalar(self):
         devs = co.deviations(co.generate_instance(3, 3, seed=5))
         model = co.build_qubo(devs, 4.0, gauge_fixed=True)
@@ -308,7 +317,7 @@ class TestExport:
         # sums to a -0.0 coupling, which equals 0.0 as a float
         upper = np.zeros((4, 4))
         upper[0, 1] = upper[1, 0] = -0.0
-        model = co.QuboModel(4, 0.0, np.zeros(4), upper, 1.0, ((1, 0), (1, 1), (2, 0), (2, 1)), True, 3, 2)
+        model = co.QuboModel(0.0, np.zeros(4), upper, 1.0, True, 3, 2)
         text = co.export_qubo(model)
         assert text == reference_export(model)
         assert text.endswith("Q 0 1 -0\nQ 2 3 0\n")
@@ -326,6 +335,41 @@ class TestExport:
         assert "\t" in text and "\r\n" in text and "\n \n" not in canonical
         self._assert_models_equal(co.parse_qubo(text), co.parse_qubo(canonical))
         self._assert_models_equal(co.parse_qubo(text), model)
+
+    def test_model_derives_its_layout(self):
+        model = co.QuboModel(0.0, np.zeros(4), np.zeros((4, 4)), 1.0, False, 2, 2)
+        assert model.n_vars == 4
+        assert model.var_map == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert dict(model.quadratic) == {(0, 1): 0.0, (2, 3): 0.0}
+
+    @pytest.mark.parametrize(
+        "linear, upper, nd, ns",
+        [
+            (np.zeros(3), np.zeros((4, 4)), 3, 2),
+            (np.zeros(4), np.zeros((3, 3)), 3, 2),
+            (np.zeros((4, 1)), np.zeros((4, 4)), 3, 2),
+            (np.zeros(4), np.zeros((4, 4)), 2, 2),
+            (np.zeros(0), np.zeros((0, 0)), 0, 2),
+            (np.zeros(0), np.zeros((0, 0)), 2, 0),
+            (np.zeros(4), np.zeros((4, 4)), 3.0, 2),
+            (np.zeros(4), np.zeros((4, 4)), 3, "2"),
+        ],
+    )
+    def test_model_rejects_inputs_off_the_layout(self, linear, upper, nd, ns):
+        with pytest.raises(InvalidInputError):
+            co.QuboModel(0.0, linear, upper, 1.0, True, nd, ns)
+
+    def test_huge_disks_header_fails_before_any_layout(self):
+        # a 1000 x 1000 layout would take about 88 MB of tuples
+        text = TWO_VARS.replace("disks 2 segments 2", "disks 1000 segments 1000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="do not fit"):
+                co.parse_qubo(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_file_round_trip(self, tmp_path):
         model = co.build_qubo(EXAMPLE, 10.0, gauge_fixed=True)

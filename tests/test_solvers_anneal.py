@@ -138,8 +138,8 @@ class TestSimulatedAnneal:
 
     def test_zero_temperature_limit_is_greedy(self):
         cold = AnnealSchedule(sweeps=50, beta_initial=1e12, beta_final=1e12)
-        uphill = QuboModel(1, 0.0, np.array([2.0]), np.zeros((1, 1)), 1.0, ((1, 0),), True, 2, 1)
-        downhill = QuboModel(1, 0.0, np.array([-2.0]), np.zeros((1, 1)), 1.0, ((1, 0),), True, 2, 1)
+        uphill = QuboModel(0.0, np.array([2.0]), np.zeros((1, 1)), 1.0, True, 2, 1)
+        downhill = QuboModel(0.0, np.array([-2.0]), np.zeros((1, 1)), 1.0, True, 2, 1)
         for seed in range(5):
             assert simulated_anneal(uphill, cold, samples=1, seed=seed).energy == 0.0
             assert simulated_anneal(downhill, cold, samples=1, seed=seed).energy == -2.0
@@ -159,6 +159,19 @@ class TestSimulatedAnneal:
     def test_same_trajectory_through_still_sweeps(self, monkeypatch, nd, ns, seed):
         model = annealing_model(nd, ns, seed)
         assert_follows_reference(monkeypatch, model, default_schedule(model), 3, seed)
+
+    # simulated_anneal screens a still sweep against this field, which must equal
+    # the delta each proposal takes, linear[v] + vecdot(x, coupling row v), bit for bit
+    @pytest.mark.parametrize("nd, ns", [(2, 7), (3, 6), (5, 42), (7, 42)])
+    @pytest.mark.parametrize("samples", [1, 3, 35, 1024])
+    def test_still_field_equals_every_proposal_delta(self, nd, ns, samples):
+        model = annealing_model(nd, ns, samples)
+        rng = np.random.default_rng(samples)
+        x = rng.integers(0, 2, size=(samples, model.n_vars)).astype(np.float64)
+        field = np.vecdot(x[:, None], model.coupling) + model.linear
+        for v in np.argsort(rng.random((samples, model.n_vars)), axis=1).T:
+            delta = model.linear[v] + np.vecdot(x, model.coupling.take(v, axis=0))
+            assert np.array_equal(field[np.arange(samples), v], delta)
 
     @pytest.mark.parametrize("nd, ns, seed", [(2, 7, 1), (3, 6, 0), (3, 6, 1)])
     def test_same_trajectory_at_constant_cold_beta(self, monkeypatch, nd, ns, seed):

@@ -79,6 +79,15 @@ class TestExhaustive:
         with pytest.raises(InvalidInputError):
             co.exhaustive_search(EXAMPLE, objective="mean")
 
+    @pytest.mark.parametrize("search", [co.exhaustive_search, co.branch_and_bound])
+    @pytest.mark.parametrize("cap", ["x", 0, -1, True, 2.5])
+    def test_cap_checked_as_solve_checks_it(self, search, cap):
+        with pytest.raises(InvalidInputError) as solved:
+            co.solve(EXAMPLE, "exhaustive", cap=cap)
+        with pytest.raises(InvalidInputError) as searched:
+            search(EXAMPLE, cap=cap)
+        assert str(searched.value) == str(solved.value)
+
     @pytest.mark.parametrize("objective", ["range", "sigma"])
     def test_matches_bruteforce(self, objective):
         rng = np.random.default_rng(10)

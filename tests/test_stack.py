@@ -180,10 +180,11 @@ class TestMetrics:
         sigma, _ = co.shift_metrics(devs, got.shifts)
         assert got.sigma == pytest.approx(sigma * 1e200, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("n", [3, 4, 1075, 10**6])
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
     def test_higher_ln_norms_at_extreme_magnitudes(self, n, scale):
-        # raised to the power n directly, 1e200 overflows to inf and 1e-200 underflows to 0
+        # raised to the power n directly, 1e200 overflows to inf and 1e-200 underflows to 0;
+        # past n = 1074 even a largest term scaled into [0.5, 1), as 1.0 is to 0.5, underflows
         with np.errstate(all="raise"):
             got = co.ln_norm(np.array([scale, -scale]), n)
         assert got == pytest.approx(scale * 2.0 ** (1.0 / n), rel=1e-12)
