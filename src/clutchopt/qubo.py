@@ -92,6 +92,9 @@ class QuboModel:
     coupling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, upper) -> None:
+        if not isinstance(self.gauge_fixed, (bool, np.bool_)):
+            raise InvalidInputError(f"gauge_fixed must be a bool, got {self.gauge_fixed!r}")
+        object.__setattr__(self, "gauge_fixed", bool(self.gauge_fixed))
         check_integer("n_disks", self.n_disks)
         check_integer("n_segments", self.n_segments)
         n = self.n_vars
@@ -248,19 +251,21 @@ def decode_solution(bits, model: QuboModel) -> ShiftVector | InfeasibleSample:
 
 
 def evaluate_batch(model: QuboModel, assignments: np.ndarray) -> np.ndarray:
-    """Energies of many assignments at once (rows of a 2-D 0/1 array)."""
-    x = np.asarray(assignments, dtype=np.float64)
+    """Energies of many assignments at once (rows of a 2-D 0/1 array of bools or numbers)."""
+    x = np.asarray(assignments)
     if x.ndim != 2 or x.shape[1] != model.n_vars:
         raise InvalidInputError(f"expected rows of {model.n_vars} bits, got shape {x.shape}")
-    if not np.all((x == 0) | (x == 1)):
+    # text is not a bit, even where float() would read it as one
+    if x.dtype.kind not in "biuf" or not np.all((x == 0) | (x == 1)):
         raise InvalidInputError("assignment entries must be 0 or 1")
+    x = x.astype(np.float64, copy=False)
     pair = 0.5 * np.einsum("bi,ij,bj->b", x, model.coupling, x)
     return model.offset + x @ model.linear + pair
 
 
 def evaluate(model: QuboModel, bits) -> float:
     """Energy of one assignment: the batch-of-one case of evaluate_batch."""
-    return float(evaluate_batch(model, np.asarray(bits, dtype=np.float64)[None])[0])
+    return float(evaluate_batch(model, np.asarray(bits)[None])[0])
 
 
 # export_qubo joins its Q lines this many at a time, parse_qubo reads its

@@ -17,6 +17,9 @@ rounding, cannot improve on it; the few survivors are finished in float64
 with exhaustive_search's sums. No subtree is skipped: a node bound such as
 range(p) minus the free rows' ranges rarely fires, since one row's range
 alone exceeds the optimal profile range, and saved no time where it did.
+A walk of at least twice _PART_LEAVES leaves is cut into contiguous parts
+walked side by side by forked processes, one per usable CPU, and merged
+into the answer and leaf count one process would return.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from contextlib import closing
 
 import numpy as np
 
 from ..errors import InvalidInputError, ProblemTooLargeError, check_integer
 from ..stack import DeviationMatrix, rotated_sum, rotations
+from .parallel import fork_map, usable_cpus
 from .result import SolveResult, scored
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -37,6 +42,9 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 _TAIL_BLOCK = 4096
 # leaves the range solver screens per batch of prefix profiles
 _BATCH_LEAVES = 16384
+# fewest leaves a part of a split search walks: at 5x42 about 10 ms of screening on a 2-core Xeon,
+# against the 1.1-1.8 ms a fork of a process holding numpy takes there
+_PART_LEAVES = 1 << 20
 # each leaf of a batch is screened on its prefix's this many highest and as many lowest segments
 _SCREEN_EXTREMES = 3
 # slack of the float32 screen on values scaled into (-1, 1), 16 * 2**-24: see _screened_ranges
@@ -70,21 +78,25 @@ def _tail_split(n_free: int, n_segments: int) -> int:
     return m
 
 
-def _prefix_batches(shifted: np.ndarray, n_pre: int, batch: int):
-    """(combos, profiles) for all n_pre >= 1 prefix disks, in lex order, up to batch at a time.
+def _prefix_batches(shifted: np.ndarray, n_pre: int, batch: int, start: int, stop: int):
+    """(combos, profiles) for batches start to stop - 1 of all n_pre >= 1 prefix disks' shifts, in lex order.
 
-    The last prefix disk's shift varies within a batch, and profiles[t] is
+    A batch holds up to batch shifts of the last prefix disk, so there are
+    ceil(n_segments / batch) batches per shift of the others. profiles[t] is
     rotated_sum(shifted, (0, *combos[t])), bit for bit: the other disks are
-    summed once per batch, and that sum plus the last disk's rotation is the
-    last addition rotated_sum makes.
+    summed once for each of their shift combinations, and that sum plus the
+    last disk's rotation is the last addition rotated_sum makes.
     """
     ns = shifted.shape[2]
     last = shifted[n_pre]
-    for outer in itertools.product(range(ns), repeat=n_pre - 1):
-        base = rotated_sum(shifted, (0, *outer))
-        for first in range(0, ns, batch):
-            profiles = base + last[first : first + batch]
-            yield [(*outer, s) for s in range(first, first + len(profiles))], profiles
+    firsts = range(0, ns, batch)
+    for index in range(start, stop):
+        outer_index, f = divmod(index, len(firsts))
+        if index == start or f == 0:
+            outer = _digits(outer_index, ns, n_pre - 1)
+            base = rotated_sum(shifted, (0, *outer))
+        profiles = base + last[firsts[f] : firsts[f] + batch]
+        yield [(*outer, s) for s in range(firsts[f], firsts[f] + len(profiles))], profiles
 
 
 def _screened_ranges(table, scaled, profiles, picks: np.ndarray, buf: np.ndarray, best: float):
@@ -144,9 +156,14 @@ def _single_precision(table: np.ndarray, rows: np.ndarray, store: np.ndarray):
     return table32, e
 
 
+def _digits(index: int, base: int, count: int) -> tuple[int, ...]:
+    """index's count lowest base-base digits, most significant first."""
+    return tuple(index // base ** (count - 1 - pos) % base for pos in range(count))
+
+
 def _shift_vector(combo, index: int, n_segments: int, m: int) -> tuple[int, ...]:
     """Row 0 at 0, the prefix rows at combo, the m tail rows at index's base-n_segments digits."""
-    return (0, *combo, *(index // n_segments ** (m - 1 - pos) % n_segments for pos in range(m)))
+    return (0, *combo, *_digits(index, n_segments, m))
 
 
 def _leaves_within(devs: DeviationMatrix, cap: int | None) -> int:
@@ -216,21 +233,26 @@ def _range_search(shifted: np.ndarray, deadline: float):
 
     shifted is the rotations() table of the rows. The leaves of the lex-first
     prefix are ranged in float64, as exhaustive_search's one addition to the
-    tail table, and their first minimum
-    seeds the incumbent: with no prefix disks, the whole search, as in every
-    sub-search of block_approximate at 42 segments. Otherwise every batch of
-    about _BATCH_LEAVES leaves, the first covering that prefix again, goes
-    through _screened_ranges. The first minimum in a batch's flat (prefix,
-    tail) order is its lex-first one, and only a strictly lower range
-    replaces the incumbent. One allocation, made with the tail table, holds
-    the float32 table and the blocks of the screen and the finish.
+    tail table, and their first minimum seeds the incumbent: with no prefix
+    disks, the whole search, as in every sub-search of block_approximate at
+    42 segments. Otherwise the batches of about _BATCH_LEAVES leaves, the
+    first covering that prefix again, are cut into contiguous parts in lex
+    order, one per usable CPU but none under _PART_LEAVES leaves. Each part
+    starts from the seed incumbent and puts its batches through
+    _screened_ranges: the first minimum in a batch's flat (prefix, tail)
+    order is its lex-first one, and only a strictly lower range replaces the
+    incumbent. fork_map walks the first part here and the others in forked
+    children. One allocation, made with the tail table, holds the float32
+    table and the blocks of the screen and the finish.
 
     Returns (shifts, leaves evaluated, completed), each leaf counted once.
     The identity range 0, or a deadline passed before any ranging, returns
-    the identity with 0 leaves. The search stops when the incumbent range is
-    0, counting the leaves up to the prefix that reached it, as a loop over
-    single prefixes would; or, incomplete, when the deadline has passed at
-    the start of a batch.
+    the identity with 0 leaves. A part stops when its incumbent range is 0,
+    counting the leaves up to the prefix that reached it; or, incomplete,
+    when the deadline has passed at the start of a batch. The parts merge
+    as one loop over them in order would: the lowest range wins and the
+    earliest part wins ties, and the leaves and completion of the parts are
+    summed up to the first part that reached range 0.
     """
     n, ns = shifted.shape[:2]
     if n == 1:
@@ -251,31 +273,44 @@ def _range_search(shifted: np.ndarray, deadline: float):
     if zero or time.perf_counter() > deadline:  # the identity, proven optimal if its range is 0
         return _shift_vector(prefix, 0, ns, m), 0, zero
     vals = np.ptp(table + first[:, None], axis=0)
-    best_key = (prefix, int(np.argmin(vals)))
-    best = float(vals[best_key[1]])
-    if n_pre == 0:
-        return _shift_vector(*best_key, ns, m), n_combos, True
+    seed_key = (prefix, int(np.argmin(vals)))
+    seed = float(vals[seed_key[1]])
+    if n_pre == 0 or seed == 0.0:
+        return _shift_vector(*seed_key, ns, m), n_combos, True
     scaled = _single_precision(table, shifted[:, 0], spare)
     buf = spare[copy_rows * n_combos :]
-    leaves = 0
-    completed = True
-    for combos, profiles in _prefix_batches(shifted, n_pre, batch):
-        if best == 0.0:
-            break
-        if time.perf_counter() > deadline:
-            completed = False
-            break
-        vals, keep = _screened_ranges(table, scaled, profiles, picks, buf, best)
-        leaves += len(combos) * n_combos
-        if vals.size == 0:
-            continue
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            t, j = divmod(int(keep[i]), n_combos)
-            best_key = (combos[t], j)
-            if best == 0.0:
-                leaves -= (len(combos) - 1 - t) * n_combos
+
+    def walk(part):
+        best, best_key = seed, seed_key
+        leaves = 0
+        for combos, profiles in _prefix_batches(shifted, n_pre, batch, *part):
+            if time.perf_counter() > deadline:
+                return best, best_key, leaves, False
+            vals, keep = _screened_ranges(table, scaled, profiles, picks, buf, best)
+            leaves += len(combos) * n_combos
+            if vals.size == 0:
+                continue
+            i = int(np.argmin(vals))
+            if vals[i] < best:
+                best = float(vals[i])
+                t, j = divmod(int(keep[i]), n_combos)
+                best_key = (combos[t], j)
+                if best == 0.0:
+                    return best, best_key, leaves - (len(combos) - 1 - t) * n_combos, True
+        return best, best_key, leaves, True
+
+    n_batches = ns ** (n_pre - 1) * -(-ns // batch)
+    n_parts = max(1, min(usable_cpus(), ns ** (n - 1) // _PART_LEAVES))
+    bounds = [n_batches * p // n_parts for p in range(n_parts + 1)]
+    best, best_key, leaves, completed = seed, seed_key, 0, True
+    with closing(fork_map(walk, list(zip(bounds, bounds[1:])))) as parts:
+        for part_best, part_key, part_leaves, part_completed in parts:
+            if part_best < best:
+                best, best_key = part_best, part_key
+            leaves += part_leaves
+            completed &= part_completed
+            if part_best == 0.0:  # one loop would stop here: the later parts are ended unread
+                break
     # the lex-first prefix is counted with the first batch, which ranges it again; before that batch, alone
     return _shift_vector(*best_key, ns, m), max(leaves, n_combos), completed
 

@@ -94,6 +94,18 @@ class TestBuildQubo:
         assert co.build_qubo(devs2, 1.0, gauge_fixed=False).n_vars == 6
         assert co.build_qubo(devs2, 1.0, gauge_fixed=True).n_vars == 3
 
+    @pytest.mark.parametrize("gauge_fixed", ["no", "1", 1, 0, None, 1.0])
+    def test_rejects_gauge_fixed_other_than_a_bool(self, gauge_fixed):
+        with pytest.raises(InvalidInputError, match="gauge_fixed must be a bool"):
+            co.build_qubo(EXAMPLE, 2.0, gauge_fixed=gauge_fixed)
+        with pytest.raises(InvalidInputError, match="gauge_fixed must be a bool"):
+            co.QuboModel(0.0, np.zeros(2), np.zeros((2, 2)), 1.0, gauge_fixed, 2, 2)
+
+    def test_numpy_bool_gauge_fixed_is_stored_as_a_bool(self):
+        model = co.build_qubo(EXAMPLE, 10.0, gauge_fixed=np.True_)
+        assert model.gauge_fixed is True
+        assert model.n_vars == 2
+
     def test_rejects_nonpositive_rho(self):
         for rho in (0.0, -1.0, math.inf, math.nan, "abc", None):
             with pytest.raises(InvalidInputError):
@@ -165,6 +177,21 @@ class TestEvaluate:
             co.evaluate(model, [value] * 8)
         with pytest.raises(InvalidInputError, match="assignment entries must be 0 or 1"):
             co.evaluate_batch(model, np.full((2, 8), value))
+
+    @pytest.mark.parametrize("value", ["1", "a"])
+    def test_rejects_text_entries(self, value):
+        # float() would read "1" and "0" as bits; text is rejected like any other non-bit
+        model = co.build_qubo(co.deviations(co.generate_instance(3, 4, seed=1)), 2.0)
+        bits = [value, "0"] * 4
+        with pytest.raises(InvalidInputError, match="assignment entries must be 0 or 1"):
+            co.evaluate(model, bits)
+        with pytest.raises(InvalidInputError, match="assignment entries must be 0 or 1"):
+            co.evaluate_batch(model, [bits, bits])
+
+    def test_accepts_bool_and_integer_bits(self):
+        model = co.build_qubo(EXAMPLE, 10.0, gauge_fixed=True)
+        for bits in ([False, True], np.array([0, 1], dtype=np.uint8), [0, 1]):
+            assert co.evaluate(model, bits) == 0.0
 
     def test_batch_matches_scalar(self):
         devs = co.deviations(co.generate_instance(3, 3, seed=5))

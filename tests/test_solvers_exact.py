@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import os
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import clutchopt as co
 from clutchopt.errors import InvalidInputError, ProblemTooLargeError
 from clutchopt.solvers import exact as exact_module
+from clutchopt.solvers import parallel
 
 EXAMPLE = co.DeviationMatrix(np.array([[-1.5, 0.5], [-0.5, 1.5]]))
 
@@ -332,6 +335,183 @@ class TestBranchAndBound:
         lhs = float(np.ptp(pa + qa))
         rhs = float(np.ptp(pa)) - float(np.ptp(qa))
         assert lhs >= rhs - 1e-9 * max(1.0, np.abs(pa).max(), np.abs(qa).max())
+
+
+@contextlib.contextmanager
+def split_into(parts, part_leaves=1):
+    """Run as if on this many CPUs, with parts of at least part_leaves leaves; yields the forks made here."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    with (
+        mock.patch.object(exact_module, "_PART_LEAVES", part_leaves),
+        mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(parts)), create=True),
+        mock.patch.object(os, "fork", fork),
+    ):
+        yield forks
+
+
+def refuse_fork():
+    raise AssertionError("os.fork called")
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def zero_range_rows(nd, ns, prefixes):
+    """Rows whose range is 0 exactly where disk 1 sits at one of prefixes, the other free disks at 0.
+
+    Disk 0 repeats a pattern of ns // len(prefixes) segments, disk 1 cancels
+    it at the first prefix, and so at each of them when they are that period
+    apart; the free disks after disk 1 are flat.
+    """
+    period = ns // len(prefixes)
+    rows = np.zeros((nd, ns))
+    pattern = np.random.default_rng(ns).integers(-3, 4, size=period).astype(float)
+    pattern[-1] -= pattern.sum()
+    rows[0] = np.tile(pattern, len(prefixes))
+    rows[1] = np.roll(-rows[0], prefixes[0])
+    return co.DeviationMatrix(rows)
+
+
+def assert_same_search(devs, parts=3):
+    """branch_and_bound split into parts gives what one process and exhaustive_search give.
+
+    Only a range of 0 at the identity or in the lex-first prefix ends the
+    search before it splits.
+    """
+    one = co.branch_and_bound(devs)
+    with split_into(parts) as forks:
+        split = co.branch_and_bound(devs)
+    assert forks or split.range == 0.0
+    assert no_children_left()
+    oracle = co.exhaustive_search(devs, objective="range")
+    assert split.shifts == one.shifts == oracle.shifts
+    assert split.range.hex() == one.range.hex() == oracle.range.hex()
+    assert split.optimal and one.optimal
+    assert split.nodes_explored == one.nodes_explored
+    return split
+
+
+class TestSplitSearch:
+    @given(
+        st.integers(6, 9).flatmap(
+            lambda ns: st.lists(st.lists(st.integers(-2, 2), min_size=ns, max_size=ns), min_size=6, max_size=6)
+        ),
+        st.integers(2, 4),
+    )
+    def test_integer_rows_match_one_process_and_exhaustive(self, cells, parts):
+        # 6 disks from 6 segments on keep a prefix disk; small integer rows tie exactly, and one
+        # prefix per batch cuts the 6 to 9 prefixes into parts of one or more
+        rows = np.array(cells, dtype=float)
+        rows[:, -1] -= rows.sum(axis=1)
+        with mock.patch.object(exact_module, "_BATCH_LEAVES", 1):
+            assert_same_search(co.DeviationMatrix(rows), parts)
+
+    @pytest.mark.parametrize("nd, ns", [(5, 10), (4, 42), (6, 10)])
+    def test_generated_instances_match_one_process_and_exhaustive(self, nd, ns):
+        for seed in range(3):
+            result = assert_same_search(co.deviations(co.generate_instance(nd, ns, seed=seed)))
+            assert result.nodes_explored == ns ** (nd - 1)
+
+    @pytest.mark.parametrize(
+        "prefixes, leaves",
+        # 4x42 walks 5 batches of up to 9 prefixes, cut into parts of batches 0, 1-2 and 3-4:
+        # a zero in the first part, in a later one, and in the second and third, where the
+        # second's wins and the third's is never read
+        [((3,), 4 * 42**2), ((12,), 13 * 42**2), ((12, 33), 13 * 42**2)],
+    )
+    def test_zero_range_in_any_part_counts_leaves_as_one_loop(self, prefixes, leaves):
+        devs = zero_range_rows(4, 42, prefixes)
+        with split_into(3) as forks:
+            co.branch_and_bound(devs)
+        assert len(forks) == 2
+        result = assert_same_search(devs)
+        assert result.range == 0.0
+        assert result.shifts == (0, prefixes[0], 0, 0)
+        assert result.nodes_explored == leaves
+
+    def test_zero_budget_returns_the_identity_without_forking(self):
+        devs = co.deviations(co.generate_instance(5, 42, seed=1))
+        with split_into(2), mock.patch.object(os, "fork", refuse_fork):
+            result = co.branch_and_bound(devs, budget_seconds=0)
+        assert result.shifts == (0,) * 5
+        assert result.nodes_explored == 0
+        assert not result.optimal
+
+    def test_budgeted_split_returns_a_consistent_incumbent(self):
+        devs = co.deviations(co.generate_instance(7, 42, seed=3))
+        with split_into(2) as forks:
+            result = co.branch_and_bound(devs, budget_seconds=0.2)
+        assert forks
+        assert no_children_left()
+        assert not result.optimal
+        assert 0 < result.nodes_explored < 42**6
+        assert result.nodes_explored % 42**2 == 0
+        assert result.range == co.range_metric(co.apply_shifts(devs, result.shifts))
+
+    def test_a_child_that_raises_raises_here_and_leaves_no_child(self, monkeypatch):
+        parent = os.getpid()
+        screen = exact_module._screened_ranges
+
+        def failing_in_children(*args):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("screen failed in a child")
+            return screen(*args)
+
+        monkeypatch.setattr(exact_module, "_screened_ranges", failing_in_children)
+        with split_into(2) as forks, pytest.raises(ZeroDivisionError):
+            co.branch_and_bound(co.deviations(co.generate_instance(4, 42, seed=1)))
+        assert forks
+        assert no_children_left()
+
+    def test_fork_map_raises_the_first_exception_in_part_order(self):
+        def fn(part):
+            if part == 1:
+                raise KeyError(part)
+            if part == 2:
+                raise ValueError(part)
+            return part * 10
+
+        assert list(parallel.fork_map(fn, [0, 3, 4])) == [0, 30, 40]
+        with pytest.raises(KeyError):
+            list(parallel.fork_map(fn, [0, 1, 2]))
+        assert no_children_left()
+
+    def test_fork_map_closed_early_ends_its_children(self):
+        results = parallel.fork_map(lambda part: part, [0, 1, 2])
+        assert next(results) == 0
+        results.close()
+        assert no_children_left()
+
+    def test_failed_fork_runs_the_parts_here(self):
+        def failing_fork():
+            raise OSError("fork failed")
+
+        with mock.patch.object(os, "fork", failing_fork):
+            assert list(parallel.fork_map(lambda part: -part, [1, 2, 3])) == [-1, -2, -3]
+
+    def test_block_approximate_at_7x42_never_forks(self):
+        devs = co.deviations(co.generate_instance(7, 42, seed=1))
+        one = co.block_approximate(devs)
+        with mock.patch.object(os, "fork", refuse_fork):
+            result = co.block_approximate(devs)
+        assert result.shifts == one.shifts
+        assert result.nodes_explored == one.nodes_explored
+
+    def test_only_walks_of_two_parts_split(self):
+        # on two CPUs 5x42 walks 3,111,696 leaves, two parts, and 4x42 74,088, too few; 3x6 has no prefix
+        with split_into(2, exact_module._PART_LEAVES) as forks:
+            for nd, ns in [(3, 6), (4, 42), (5, 42)]:
+                co.branch_and_bound(co.deviations(co.generate_instance(nd, ns, seed=1)))
+                assert len(forks) == (nd == 5)
 
 
 class TestSolveResultContract:
