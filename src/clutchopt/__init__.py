@@ -30,6 +30,7 @@ from .qubo import (
     evaluate_batch,
     export_qubo,
     load_qubo,
+    local_fields,
     objective_bound,
     parse_qubo,
 )

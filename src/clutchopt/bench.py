@@ -14,9 +14,8 @@ import io
 import json
 import typing
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
-from .errors import ConfigError, InvalidInputError, ProblemTooLargeError, check_integer
+from .errors import ConfigError, InvalidInputError, ProblemTooLargeError, check_integer, read_text
 from .rng import derive_seed
 from .solvers import SOLVER_PARAMS, check_params, solve
 from .solvers.result import REPORTED_FIELDS, format_value
@@ -329,4 +328,4 @@ def parse_config(text: str) -> BenchmarkConfig:
 
 
 def load_config(path) -> BenchmarkConfig:
-    return parse_config(Path(path).read_text())
+    return parse_config(read_text(path, ConfigError))

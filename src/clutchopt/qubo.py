@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, check_integer
+from .errors import InvalidInputError, check_integer, read_text
 from .stack import DeviationMatrix, ShiftVector, _as_shift_vector, rotations
 
 # cross-disk couplings smaller than this fraction of the largest coefficient
@@ -30,7 +30,7 @@ from .stack import DeviationMatrix, ShiftVector, _as_shift_vector, rotations
 PRUNE_RELATIVE = 1e-12
 
 
-def same_disk(n_vars: int, n_segments: int) -> np.ndarray:
+def _same_disk(n_vars: int, n_segments: int) -> np.ndarray:
     """mask[u, v] is True when variables u and v encode shifts of one disk."""
     disk = np.arange(n_vars) // n_segments
     return disk[:, None] == disk[None, :]
@@ -45,7 +45,7 @@ class _PairView(Mapping):
 
     def __init__(self, coupling: np.ndarray, n_segments: int) -> None:
         self._coupling = coupling
-        self._keys = np.triu((coupling != 0) | same_disk(len(coupling), n_segments), 1)
+        self._keys = np.triu((coupling != 0) | _same_disk(len(coupling), n_segments), 1)
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         return np.nonzero(self._keys)
@@ -176,7 +176,7 @@ def build_qubo(devs: DeviationMatrix, rho: float, gauge_fixed: bool = True) -> Q
     # gram[p, q] = rot[p] @ rot[q].T, one matrix product per disk pair
     gram = np.matmul(rot[:, None], np.swapaxes(rot, 1, 2)[None])
     quad = 2.0 * gram.transpose(0, 2, 1, 3).reshape(n_vars, n_vars)
-    within = same_disk(n_vars, n_seg)
+    within = _same_disk(n_vars, n_seg)
     quad[within] += 2.0 * rho
     upper = np.triu(quad, 1)
 
@@ -185,6 +185,21 @@ def build_qubo(devs: DeviationMatrix, rho: float, gauge_fixed: bool = True) -> Q
     upper[(np.abs(upper) < threshold) & ~within] = 0.0
 
     return QuboModel(offset, linear, upper, rho, gauge_fixed, n_disks, n_seg)
+
+
+def _objective_scale(model: QuboModel) -> float:
+    """Typical magnitude of the model's objective (non-penalty) coefficients.
+
+    build_qubo adds the penalty exactly (-rho on every linear term, +2*rho on
+    every within-disk pair), so subtracting it recovers the objective parts.
+    Their median magnitude estimates the energy resolution an annealer's cold
+    end has to reach.
+    """
+    c = model.coupling
+    objective = np.where(_same_disk(model.n_vars, model.n_segments), c - 2.0 * model.rho, c)
+    parts = np.abs(np.concatenate([model.linear + model.rho, objective[np.triu_indices(model.n_vars, 1)]]))
+    nonzero = parts[parts > 0]
+    return float(np.median(nonzero)) if nonzero.size else 0.0
 
 
 def objective_bound(devs: DeviationMatrix) -> float:
@@ -234,13 +249,20 @@ def encode_shifts(shifts, n_segments: int, gauge_fixed: bool = True) -> np.ndarr
     return bits
 
 
+def _as_bits(bits, n_vars: int, rows: bool) -> np.ndarray:
+    """bits as one assignment of n_vars entries, or with rows a 2-D array of them, each a
+    bool or real number equal to 0 or 1: text is not a bit, even where float() reads one."""
+    x = np.asarray(bits)
+    if x.ndim != 1 + rows or x.shape[-1] != n_vars:
+        raise InvalidInputError(f"expected {'rows of ' if rows else ''}{n_vars} bits, got shape {x.shape}")
+    if x.dtype.kind not in "biuf" or not np.all((x == 0) | (x == 1)):
+        raise InvalidInputError("assignment entries must be 0 or 1")
+    return x
+
+
 def decode_solution(bits, model: QuboModel) -> ShiftVector | InfeasibleSample:
     """Invert the one-hot encoding, or report which disks violate it."""
-    x = np.asarray(bits)
-    if x.shape != (model.n_vars,):
-        raise InvalidInputError(f"expected {model.n_vars} bits, got shape {x.shape}")
-    if not np.all((x == 0) | (x == 1)):
-        raise InvalidInputError("assignment entries must be 0 or 1")
+    x = _as_bits(bits, model.n_vars, rows=False)
     blocks = x.reshape(-1, model.n_segments)
     counts = np.count_nonzero(blocks, axis=1)
     if np.any(counts != 1):
@@ -250,17 +272,24 @@ def decode_solution(bits, model: QuboModel) -> ShiftVector | InfeasibleSample:
     return (0, *shifts) if model.gauge_fixed else shifts
 
 
+def local_fields(model: QuboModel, x: np.ndarray) -> np.ndarray:
+    """field[c, v] = linear[v] + x[c] . coupling[v] for 0/1 states x, one per row.
+
+    Flipping bit v of state c changes its energy by (1 - 2 x[c, v]) * field[c, v].
+    Each entry is the np.vecdot of a state with one coupling row, the product
+    simulated_anneal takes for each proposal, so for its float64 states the
+    two agree bit for bit.
+    """
+    return np.vecdot(x[:, None], model.coupling) + model.linear
+
+
 def evaluate_batch(model: QuboModel, assignments: np.ndarray) -> np.ndarray:
-    """Energies of many assignments at once (rows of a 2-D 0/1 array of bools or numbers)."""
-    x = np.asarray(assignments)
-    if x.ndim != 2 or x.shape[1] != model.n_vars:
-        raise InvalidInputError(f"expected rows of {model.n_vars} bits, got shape {x.shape}")
-    # text is not a bit, even where float() would read it as one
-    if x.dtype.kind not in "biuf" or not np.all((x == 0) | (x == 1)):
-        raise InvalidInputError("assignment entries must be 0 or 1")
-    x = x.astype(np.float64, copy=False)
-    pair = 0.5 * np.einsum("bi,ij,bj->b", x, model.coupling, x)
-    return model.offset + x @ model.linear + pair
+    """Energies of many assignments at once (rows of a 2-D 0/1 array of bools or numbers).
+
+    offset + x . linear + x . coupling . x / 2, summed as offset + x . (field + linear) / 2.
+    """
+    x = _as_bits(assignments, model.n_vars, rows=True).astype(np.float64, copy=False)
+    return model.offset + 0.5 * np.vecdot(x, local_fields(model, x) + model.linear)
 
 
 def evaluate(model: QuboModel, bits) -> float:
@@ -493,4 +522,4 @@ def parse_qubo(text: str) -> QuboModel:
 
 
 def load_qubo(path) -> QuboModel:
-    return parse_qubo(Path(path).read_text())
+    return parse_qubo(read_text(path))

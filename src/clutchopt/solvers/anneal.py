@@ -24,15 +24,15 @@ runs costs O(samples * n_vars**2); the table only removes the small numpy
 calls around that product.
 
 Late in the schedule whole sweeps pass in which no chain moves. After such
-a still sweep the states are known, so the loop builds the local field once
-for the still stretch and tests all of the next sweep's proposals against
-it at once. The field takes the same np.vecdot of each state with each
-coupling row as a proposal does, so it equals every proposal's delta bit
-for bit. A chain changes only through its own accepted flips, and every
-proposal before the first accepted one sees the sweep's starting states, so
-a sweep in which no proposal passes against the field is exactly a sweep
-that moves nothing, and is skipped; its order and uniforms are still drawn,
-which keeps the random stream aligned. A skipped sweep costs
+a still sweep the states are known, so the loop builds the local field
+(qubo.local_fields) once for the still stretch and tests all of the next
+sweep's proposals against it at once. The field takes the same np.vecdot of
+each state with each coupling row as a proposal does, so it equals every
+proposal's delta bit for bit. A chain changes only through its own accepted
+flips, and every proposal before the first accepted one sees the sweep's
+starting states, so a sweep in which no proposal passes against the field is
+exactly a sweep that moves nothing, and is skipped; its order and uniforms
+are still drawn, which keeps the random stream aligned. A skipped sweep costs
 O(samples * n_vars) numpy work, plus one O(samples * n_vars**2) field per
 still stretch.
 """
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError, check_integer
-from ..qubo import InfeasibleSample, QuboModel, decode_solution, evaluate_batch, same_disk
+from ..qubo import InfeasibleSample, QuboModel, _objective_scale, decode_solution, evaluate_batch, local_fields
 from ..rng import stream_rng
 from ..stack import DeviationMatrix, canonicalize_shifts
 from .result import SolveResult, scored
@@ -70,21 +70,6 @@ class AnnealSchedule:
 
     def betas(self) -> np.ndarray:
         return np.geomspace(self.beta_initial, self.beta_final, self.sweeps)
-
-
-def _objective_scale(model: QuboModel) -> float:
-    """Typical magnitude of the model's objective (non-penalty) coefficients.
-
-    The penalty contributions are known exactly (-rho on every linear term,
-    +2*rho on every within-disk pair), so subtracting them recovers the
-    objective parts. Their median magnitude estimates the energy resolution
-    the cold end of the schedule has to reach.
-    """
-    c = model.coupling
-    objective = np.where(same_disk(model.n_vars, model.n_segments), c - 2.0 * model.rho, c)
-    parts = np.abs(np.concatenate([model.linear + model.rho, objective[np.triu_indices(model.n_vars, 1)]]))
-    nonzero = parts[parts > 0]
-    return float(np.median(nonzero)) if nonzero.size else 0.0
 
 
 def default_beta_range(model: QuboModel) -> tuple[float, float]:
@@ -159,7 +144,7 @@ def simulated_anneal(
         if not np.array_equal(x, start):
             field = None
         elif field is None:
-            field = (np.vecdot(x[:, None], coupling) + linear).reshape(-1)
+            field = local_fields(model, x).reshape(-1)
 
     energies = evaluate_batch(model, x)
     best: tuple[float, tuple[int, ...]] | None = None

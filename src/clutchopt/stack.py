@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidInputError, check_integer
+from .errors import InvalidInputError, check_integer, read_text
 from .rng import stream_rng
 
 DEFAULT_TARGET_THICKNESS = 2.0
@@ -280,4 +280,4 @@ def write_instance(stack: DiskStack, path) -> None:
 
 
 def read_instance(path) -> DiskStack:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(read_text(path))

@@ -169,6 +169,14 @@ class TestSolve:
         assert code == 2
         assert "error" in stderr
 
+    def test_undecodable_instance_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin-1.txt"
+        path.write_bytes(b"2 3\n2.0 0.1 \xff\n")
+        code, stdout, stderr = run(capsys, "solve", "--instance", str(path), "--solver", "exact")
+        assert code == 2
+        assert stderr == f"error: {path} is not UTF-8 text: invalid start byte at byte 12\n"
+        assert stdout == ""
+
     def test_unknown_solver_rejected_by_parser(self, instance):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--instance", str(instance), "--solver", "warp"])
@@ -279,6 +287,15 @@ class TestBench:
         assert code == 2
         assert stderr.startswith("error: ") and reason in stderr
         assert stdout == "" and not out.exists()  # no grid header, no progress line, no results file
+
+    def test_bench_undecodable_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_bytes(self.CONFIG.encode() + b"# caf\xe9\n")
+        out = tmp_path / "r.csv"
+        code, stdout, stderr = run(capsys, "bench", "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert stderr.startswith(f"error: {config} is not UTF-8 text")
+        assert stdout == "" and not out.exists()
 
     def test_bench_bad_config(self, tmp_path, capsys):
         config = tmp_path / "bench.cfg"

@@ -1,12 +1,15 @@
 """Every text parser rejects malformed input with the package's own errors."""
 
+import re
 from dataclasses import fields
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clutchopt as co
+from clutchopt.bench import load_config
 from clutchopt.errors import ConfigError, InvalidInputError
 from clutchopt.stack import parse_instance
 
@@ -39,3 +42,14 @@ def test_only_package_errors_escape(text):
             parse(text)
         except (InvalidInputError, ConfigError):
             pass
+
+
+# a file that is not UTF-8 text is a malformed file too, named in the message
+@pytest.mark.parametrize(
+    "load, error", [(co.read_instance, InvalidInputError), (co.load_qubo, InvalidInputError), (load_config, ConfigError)]
+)
+def test_undecodable_file_raises_a_package_error(tmp_path, load, error):
+    path = tmp_path / "latin-1.txt"
+    path.write_bytes("size 2 4\n# caf\xe9\n".encode("latin-1"))
+    with pytest.raises(error, match=rf"^{re.escape(str(path))} is not UTF-8 text"):
+        load(path)

@@ -178,20 +178,44 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError, match="assignment entries must be 0 or 1"):
             co.evaluate_batch(model, np.full((2, 8), value))
 
-    @pytest.mark.parametrize("value", ["1", "a"])
-    def test_rejects_text_entries(self, value):
-        # float() would read "1" and "0" as bits; text is rejected like any other non-bit
+    @pytest.mark.parametrize(
+        "bits",
+        [["1", "0"] * 4, ["a", "0"] * 4, np.array([1, 0] * 4, dtype=object), np.array([1, 0] * 4, dtype=complex)],
+        ids=["1", "a", "object", "complex"],
+    )
+    def test_rejects_text_entries(self, bits):
+        # float() would read "1" and "0" as bits, and 1 == 1+0j; only bools and real numbers are bits
         model = co.build_qubo(co.deviations(co.generate_instance(3, 4, seed=1)), 2.0)
-        bits = [value, "0"] * 4
         with pytest.raises(InvalidInputError, match="assignment entries must be 0 or 1"):
             co.evaluate(model, bits)
         with pytest.raises(InvalidInputError, match="assignment entries must be 0 or 1"):
             co.evaluate_batch(model, [bits, bits])
+        with pytest.raises(InvalidInputError, match="assignment entries must be 0 or 1"):
+            co.decode_solution(bits, model)
 
     def test_accepts_bool_and_integer_bits(self):
         model = co.build_qubo(EXAMPLE, 10.0, gauge_fixed=True)
         for bits in ([False, True], np.array([0, 1], dtype=np.uint8), [0, 1]):
             assert co.evaluate(model, bits) == 0.0
+
+    # the annealer's delta rule against the energy: flipping bit v of x moves
+    # evaluate_batch by (1 - 2 x[v]) * local_fields(model, x)[v]
+    @pytest.mark.parametrize("nd", [5, 7])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_flip_changes_energy_by_its_local_field(self, nd, seed):
+        devs = co.deviations(co.generate_instance(nd, 42, seed=seed))
+        model = co.build_qubo(devs, co.annealing_penalty(devs))
+        # a row's magnitude sum bounds the energy change of flipping its bit
+        scale = (np.abs(model.linear) + np.abs(model.coupling).sum(axis=1)).max()
+        rng = np.random.default_rng(seed)
+        states = rng.integers(0, 2, size=(3, model.n_vars)).astype(np.float64)
+        fields = co.local_fields(model, states)
+        every = np.arange(model.n_vars)
+        for x, field in zip(states, fields):
+            flipped = np.repeat(x[None], model.n_vars, axis=0)
+            flipped[every, every] = 1.0 - x
+            delta = co.evaluate_batch(model, flipped) - co.evaluate(model, x)
+            assert np.abs(delta - (1.0 - 2.0 * x) * field).max() <= 1e-12 * scale
 
     def test_batch_matches_scalar(self):
         devs = co.deviations(co.generate_instance(3, 3, seed=5))

@@ -5,7 +5,7 @@ import pytest
 
 import clutchopt as co
 from clutchopt.errors import InvalidInputError
-from clutchopt.qubo import InfeasibleSample, QuboModel, decode_solution, evaluate_batch
+from clutchopt.qubo import InfeasibleSample, QuboModel, decode_solution, evaluate_batch, local_fields
 from clutchopt.rng import stream_rng
 from clutchopt.solvers import anneal as anneal_module
 from clutchopt.solvers import AnnealSchedule, default_beta_range, default_schedule, simulated_anneal
@@ -160,7 +160,7 @@ class TestSimulatedAnneal:
         model = annealing_model(nd, ns, seed)
         assert_follows_reference(monkeypatch, model, default_schedule(model), 3, seed)
 
-    # simulated_anneal screens a still sweep against this field, which must equal
+    # simulated_anneal screens a still sweep against local_fields, which must equal
     # the delta each proposal takes, linear[v] + vecdot(x, coupling row v), bit for bit
     @pytest.mark.parametrize("nd, ns", [(2, 7), (3, 6), (5, 42), (7, 42)])
     @pytest.mark.parametrize("samples", [1, 3, 35, 1024])
@@ -168,7 +168,7 @@ class TestSimulatedAnneal:
         model = annealing_model(nd, ns, samples)
         rng = np.random.default_rng(samples)
         x = rng.integers(0, 2, size=(samples, model.n_vars)).astype(np.float64)
-        field = np.vecdot(x[:, None], model.coupling) + model.linear
+        field = local_fields(model, x)
         for v in np.argsort(rng.random((samples, model.n_vars)), axis=1).T:
             delta = model.linear[v] + np.vecdot(x, model.coupling.take(v, axis=0))
             assert np.array_equal(field[np.arange(samples), v], delta)
