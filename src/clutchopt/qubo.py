@@ -63,6 +63,13 @@ class _PairView(Mapping):
         return int(self._keys.sum())
 
 
+def _as_flag(name: str, value) -> bool:
+    """value as a bool; only a Python or numpy bool is one."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidInputError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def _layout(gauge_fixed: bool, n_disks: int, n_segments: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, j) for k in range(int(gauge_fixed), n_disks) for j in range(n_segments))
 
@@ -92,9 +99,7 @@ class QuboModel:
     coupling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, upper) -> None:
-        if not isinstance(self.gauge_fixed, (bool, np.bool_)):
-            raise InvalidInputError(f"gauge_fixed must be a bool, got {self.gauge_fixed!r}")
-        object.__setattr__(self, "gauge_fixed", bool(self.gauge_fixed))
+        object.__setattr__(self, "gauge_fixed", _as_flag("gauge_fixed", self.gauge_fixed))
         check_integer("n_disks", self.n_disks)
         check_integer("n_segments", self.n_segments)
         n = self.n_vars
@@ -240,6 +245,7 @@ def annealing_penalty(devs: DeviationMatrix) -> float:
 
 def encode_shifts(shifts, n_segments: int, gauge_fixed: bool = True) -> np.ndarray:
     """One-hot encode a shift vector into a flat binary assignment."""
+    gauge_fixed = _as_flag("gauge_fixed", gauge_fixed)
     s = _as_shift_vector(shifts, n_segments)
     if gauge_fixed and s[0] != 0:
         raise InvalidInputError("gauge-fixed encoding requires shift 0 for disk 0; canonicalize first")

@@ -51,24 +51,18 @@ _SCREEN_EXTREMES = 3
 _SINGLE_MARGIN = 2.0**-20
 
 
-def _tail_columns(shifted: np.ndarray, disks, spare_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """All shift combinations of the given disks, summed, one column each in lex order, and a buffer.
+def _tail_columns(shifted: np.ndarray, disks) -> np.ndarray:
+    """All shift combinations of the given disks, summed, one column each in lex order.
 
-    The table is (n_segments, n_combos), its sums added in disk order. It
-    and the buffer, a flat spare_rows * n_combos floats behind it, share one
-    allocation: one large block, which the allocator can map and unmap
-    whole, left a lower peak RSS than a separate table and buffer.
+    The table is (n_segments, n_combos) float64, its sums added in disk order.
     shifted[k] is symmetric, since segment j of row k rotated by s is row
     k's segment (j + s) % n_segments, so it serves as its own transpose.
     """
     ns = shifted.shape[2]
-    n_combos = ns ** len(disks)
-    store = np.empty((ns + spare_rows) * n_combos)
     columns = np.zeros((ns, 1))
-    for i, k in enumerate(disks):
-        out = store[: ns * n_combos].reshape(ns, -1, ns) if i == len(disks) - 1 else None
-        columns = np.add(columns[:, :, None], shifted[k][:, None, :], out=out).reshape(ns, -1)
-    return columns, store[ns * n_combos :]
+    for k in disks:
+        columns = (columns[:, :, None] + shifted[k][:, None, :]).reshape(ns, -1)
+    return columns
 
 
 def _tail_split(n_free: int, n_segments: int) -> int:
@@ -79,13 +73,14 @@ def _tail_split(n_free: int, n_segments: int) -> int:
 
 
 def _prefix_batches(shifted: np.ndarray, n_pre: int, batch: int, start: int, stop: int):
-    """(combos, profiles) for batches start to stop - 1 of all n_pre >= 1 prefix disks' shifts, in lex order.
+    """(outer, first, profiles) for batches start to stop - 1 of the n_pre >= 1 prefix disks' shifts, in lex order.
 
-    A batch holds up to batch shifts of the last prefix disk, so there are
-    ceil(n_segments / batch) batches per shift of the others. profiles[t] is
-    rotated_sum(shifted, (0, *combos[t])), bit for bit: the other disks are
-    summed once for each of their shift combinations, and that sum plus the
-    last disk's rotation is the last addition rotated_sum makes.
+    A batch holds up to batch shifts of the last prefix disk, from first on,
+    with the others at outer, so there are ceil(n_segments / batch) batches
+    per shift of the others. Row t of profiles is rotated_sum(shifted,
+    (0, *outer, first + t)), bit for bit: the other disks are summed once
+    for each of their shift combinations, and that sum plus the last disk's
+    rotation is the last addition rotated_sum makes.
     """
     ns = shifted.shape[2]
     last = shifted[n_pre]
@@ -95,8 +90,7 @@ def _prefix_batches(shifted: np.ndarray, n_pre: int, batch: int, start: int, sto
         if index == start or f == 0:
             outer = _digits(outer_index, ns, n_pre - 1)
             base = rotated_sum(shifted, (0, *outer))
-        profiles = base + last[firsts[f] : firsts[f] + batch]
-        yield [(*outer, s) for s in range(firsts[f], firsts[f] + len(profiles))], profiles
+        yield outer, firsts[f], base + last[firsts[f] : firsts[f] + batch]
 
 
 def _screened_ranges(table, scaled, profiles, picks: np.ndarray, buf: np.ndarray, best: float):
@@ -142,8 +136,8 @@ def _screened_ranges(table, scaled, profiles, picks: np.ndarray, buf: np.ndarray
     return vals, keep
 
 
-def _single_precision(table: np.ndarray, rows: np.ndarray, store: np.ndarray):
-    """table * 2**-e as float32, written into store, and e: every leaf value times 2**-e lies in (-1, 1).
+def _single_precision(table: np.ndarray, rows: np.ndarray):
+    """table * 2**-e as a new float32 array, and e: every leaf value times 2**-e lies in (-1, 1).
 
     e is the binary exponent of S, the sum over rows of their largest
     absolute value, so S * 2**-e < 1; no leaf value exceeds S in magnitude.
@@ -151,7 +145,7 @@ def _single_precision(table: np.ndarray, rows: np.ndarray, store: np.ndarray):
     clear of overflow at large magnitudes and of underflow at small ones.
     """
     e = int(np.frexp(np.abs(rows).max(axis=1).sum())[1])
-    table32 = store.view(np.float32)[: table.size].reshape(table.shape)
+    table32 = np.empty(table.shape, dtype=np.float32)
     np.ldexp(table, -e, out=table32)
     return table32, e
 
@@ -199,7 +193,7 @@ def exhaustive_search(
     else:
         shifted = rotations(b)
         m = _tail_split(n_disks - 1, ns)
-        table = np.ascontiguousarray(_tail_columns(shifted, range(n_disks - m, n_disks), 0)[0].T)
+        table = np.ascontiguousarray(_tail_columns(shifted, range(n_disks - m, n_disks)).T)
         best_val = np.inf
         for combo in itertools.product(range(ns), repeat=n_disks - 1 - m):
             block = rotated_sum(shifted, (0, *combo)) + table
@@ -235,15 +229,17 @@ def _range_search(shifted: np.ndarray, deadline: float):
     prefix are ranged in float64, as exhaustive_search's one addition to the
     tail table, and their first minimum seeds the incumbent: with no prefix
     disks, the whole search, as in every sub-search of block_approximate at
-    42 segments. Otherwise the batches of about _BATCH_LEAVES leaves, the
+    7x42. Otherwise the batches of about _BATCH_LEAVES leaves, the
     first covering that prefix again, are cut into contiguous parts in lex
     order, one per usable CPU but none under _PART_LEAVES leaves. Each part
     starts from the seed incumbent and puts its batches through
     _screened_ranges: the first minimum in a batch's flat (prefix, tail)
     order is its lex-first one, and only a strictly lower range replaces the
     incumbent. fork_map walks the first part here and the others in forked
-    children. One allocation, made with the tail table, holds the float32
-    table and the blocks of the screen and the finish.
+    children. Besides the profiles a search holds three arrays: the float64
+    tail table, its float32 copy and, allocated after the seed, one float64
+    screen buffer, which every batch reuses for its float32 screen block and
+    then, chunk by chunk, for the float64 finish of its survivors.
 
     Returns (shifts, leaves evaluated, completed), each leaf counted once.
     The identity range 0, or a deadline passed before any ranging, returns
@@ -262,11 +258,7 @@ def _range_search(shifted: np.ndarray, deadline: float):
     batch = max(1, _BATCH_LEAVES // n_combos)
     r = min(_SCREEN_EXTREMES, ns // 2)
     picks = np.arange(-r, r) % ns  # in a profile's argsort, its r highest and r lowest segments
-    # in rows of n_combos floats: the float32 table, then the float32 screen's blocks, two to a row
-    copy_rows = -(-ns // 2)
-    spare_rows = copy_rows + -(-batch * len(picks) // 2) if n_pre else 0
-    # one buffer per search: a block this size allocated per batch would be a fresh mmap each time
-    table, spare = _tail_columns(shifted, range(n - m, n), spare_rows)
+    table = _tail_columns(shifted, range(n - m, n))
     prefix = (0,) * n_pre
     first = rotated_sum(shifted, (0, *prefix))
     zero = float(np.ptp(first + table[:, 0])) == 0.0
@@ -277,26 +269,28 @@ def _range_search(shifted: np.ndarray, deadline: float):
     seed = float(vals[seed_key[1]])
     if n_pre == 0 or seed == 0.0:
         return _shift_vector(*seed_key, ns, m), n_combos, True
-    scaled = _single_precision(table, shifted[:, 0], spare)
-    buf = spare[copy_rows * n_combos :]
+    scaled = _single_precision(table, shifted[:, 0])
+    # a full batch's float32 screen block, two floats to a word; one per search, since a block
+    # this size allocated per batch would be a fresh mmap each time
+    buf = np.empty(-(-batch * len(picks) // 2) * n_combos)
 
     def walk(part):
         best, best_key = seed, seed_key
         leaves = 0
-        for combos, profiles in _prefix_batches(shifted, n_pre, batch, *part):
+        for outer, first_shift, profiles in _prefix_batches(shifted, n_pre, batch, *part):
             if time.perf_counter() > deadline:
                 return best, best_key, leaves, False
             vals, keep = _screened_ranges(table, scaled, profiles, picks, buf, best)
-            leaves += len(combos) * n_combos
+            leaves += len(profiles) * n_combos
             if vals.size == 0:
                 continue
             i = int(np.argmin(vals))
             if vals[i] < best:
                 best = float(vals[i])
                 t, j = divmod(int(keep[i]), n_combos)
-                best_key = (combos[t], j)
+                best_key = ((*outer, first_shift + t), j)
                 if best == 0.0:
-                    return best, best_key, leaves - (len(combos) - 1 - t) * n_combos, True
+                    return best, best_key, leaves - (len(profiles) - 1 - t) * n_combos, True
         return best, best_key, leaves, True
 
     n_batches = ns ** (n_pre - 1) * -(-ns // batch)

@@ -104,6 +104,7 @@ def deviations(stack: DiskStack) -> DeviationMatrix:
 
 def _as_shift_vector(shifts, n_segments: int, n_disks: int | None = None) -> ShiftVector:
     """shifts as a non-empty tuple of ints in [0, n_segments), n_disks long when that is given."""
+    check_integer("n_segments", n_segments)
     try:
         raw = tuple(shifts)
     except TypeError:

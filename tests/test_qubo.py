@@ -100,6 +100,8 @@ class TestBuildQubo:
             co.build_qubo(EXAMPLE, 2.0, gauge_fixed=gauge_fixed)
         with pytest.raises(InvalidInputError, match="gauge_fixed must be a bool"):
             co.QuboModel(0.0, np.zeros(2), np.zeros((2, 2)), 1.0, gauge_fixed, 2, 2)
+        with pytest.raises(InvalidInputError, match="gauge_fixed must be a bool"):
+            co.encode_shifts((0, 1, 1), 2, gauge_fixed)
 
     def test_numpy_bool_gauge_fixed_is_stored_as_a_bool(self):
         model = co.build_qubo(EXAMPLE, 10.0, gauge_fixed=np.True_)

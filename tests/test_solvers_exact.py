@@ -12,6 +12,7 @@ import clutchopt as co
 from clutchopt.errors import InvalidInputError, ProblemTooLargeError
 from clutchopt.solvers import exact as exact_module
 from clutchopt.solvers import parallel
+from clutchopt.stack import rotated_sum, rotations
 
 EXAMPLE = co.DeviationMatrix(np.array([[-1.5, 0.5], [-0.5, 1.5]]))
 
@@ -49,6 +50,21 @@ def near_tie_rows(seed):
     rows = np.zeros((4, 42))
     rows[:2] = rng.normal(size=(2, 42)) * [[1.0], [1e-10]]
     return rows - rows.mean(axis=1, keepdims=True)
+
+
+class TestTailTable:
+    @pytest.mark.parametrize("ns, m", [(42, 2), (10, 3), (6, 4)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_column_is_the_rotated_sum_of_its_lex_digits(self, ns, m, seed):
+        # exact and exhaustive share this table; rows of mixed scales make the order of the adds
+        # show in the bits, and the two rows ahead of the tail are never read
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(m + 2, ns)) * 10.0 ** rng.integers(-3, 4, size=(m + 2, 1))
+        shifted = rotations(rows)
+        table = exact_module._tail_columns(shifted, range(2, m + 2))
+        want = [rotated_sum(shifted[2:], digits) for digits in itertools.product(range(ns), repeat=m)]
+        assert table.dtype == np.float64
+        assert table.tobytes() == np.array(want).T.tobytes()
 
 
 class TestExhaustive:

@@ -254,6 +254,12 @@ class TestGaugeInvariance:
         with pytest.raises(InvalidInputError):
             co.canonicalize_shifts(shifts, 4)
 
+    @pytest.mark.parametrize("helper", [co.canonicalize_shifts, co.encode_shifts])
+    @pytest.mark.parametrize("n_segments", [2.5, 2.0, "3", True, None, 0, -2])
+    def test_shift_helpers_reject_a_segment_count_that_is_no_positive_integer(self, helper, n_segments):
+        with pytest.raises(InvalidInputError, match="n_segments must be"):
+            helper((0, 1), n_segments)
+
     @given(devs_with_shifts())
     def test_canonicalize_is_idempotent_and_metric_preserving(self, case):
         devs, shifts = case
