@@ -59,7 +59,8 @@ class SolverSpec:
     def __post_init__(self) -> None:
         # the config's key names before any value, so budget_seconds=abc is an unknown key;
         # an unknown solver is left to check_params
-        if self.name in SOLVER_PARAMS and (unknown := self.params.keys() - _SOLVER_PARAM_TYPES.keys()):
+        known = isinstance(self.name, str) and self.name in SOLVER_PARAMS
+        if known and (unknown := self.params.keys() - _SOLVER_PARAM_TYPES.keys()):
             raise ConfigError(f"{self.name} does not take {', '.join(sorted(unknown))}")
         try:
             check_params(self.name, self.solve_kwargs())

@@ -86,7 +86,8 @@ class QuboModel:
     upper-triangular coefficients as an n_vars x n_vars array ``upper``.
     They are stored once, as the read-only float64 ``linear`` and symmetric
     matrix ``coupling`` with a zero diagonal; ``quadratic`` is a read-only
-    {(i, j): coeff} view of ``coupling``.
+    {(i, j): coeff} view of ``coupling``. ``offset`` and ``rho`` are read
+    with float() and stored as Python floats.
     """
 
     offset: float
@@ -110,10 +111,16 @@ class QuboModel:
         if np.tril(upper).any():
             raise InvalidInputError("upper must be strictly upper-triangular")
         coupling = upper + upper.T
-        if not (self.rho >= 0 and all(np.isfinite(a).all() for a in (self.offset, self.rho, lin, coupling))):
+        try:
+            offset, rho = float(self.offset), float(self.rho)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"offset and rho must be numbers, got {self.offset!r} and {self.rho!r}") from None
+        if not (rho >= 0 and all(np.isfinite(a).all() for a in (offset, rho, lin, coupling))):
             raise InvalidInputError("rho must be >= 0 and every number finite")
         lin.setflags(write=False)
         coupling.setflags(write=False)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "coupling", coupling)
 

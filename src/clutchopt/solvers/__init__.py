@@ -62,7 +62,7 @@ __all__ = [
 
 def check_params(solver: str, params: dict) -> str:
     """Check solver and its solve() params, None meaning not given; return the objective it optimizes."""
-    if solver not in SOLVER_PARAMS:
+    if not isinstance(solver, str) or solver not in SOLVER_PARAMS:
         raise InvalidInputError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
     objectives = SOLVER_OBJECTIVES[solver]
     for name, value in params.items():

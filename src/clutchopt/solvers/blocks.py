@@ -1,8 +1,8 @@
 """Approximate solver: optimize disk subsets exactly, then rotate subsets.
 
-The disks are split into K contiguous subsets, K chosen as the smallest
-value >= 3 keeping floor(n_disks / K) at 8 disks or fewer; the first K - 1
-subsets get floor(n_disks / K) disks and the last one the remainder. Each
+The disks are split into K contiguous subsets: the first K - 1 get
+floor(n_disks / K) disks and the last one the rest, K chosen as the smallest
+value >= 3 keeping every subset, the last included, at 8 disks or fewer. Each
 subset's internal shifts are solved exactly, the optimized subset collapses
 to one rigid super-profile (its segment-wise sum), and the K super-profiles
 are rotated against each other with the same exact solver. Only a fraction
@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+from ..errors import check_integer
 from ..stack import DeviationMatrix, rotated_sum, rotations
 from .exact import _deadline, _range_search
 from .result import SolveResult, scored
@@ -24,8 +25,10 @@ MIN_SUBSETS = 3
 
 
 def split_disk_blocks(n_disks: int) -> list[list[int]]:
+    """K contiguous blocks of disk indices, as the module docstring says; fewer than MIN_SUBSETS disks is an error."""
+    check_integer("n_disks", n_disks, MIN_SUBSETS)
     k = MIN_SUBSETS
-    while n_disks // k > MAX_SUBSET_DISKS:
+    while n_disks - (k - 1) * (n_disks // k) > MAX_SUBSET_DISKS:
         k += 1
     size = n_disks // k
     blocks = [list(range(g * size, (g + 1) * size)) for g in range(k - 1)]

@@ -2,10 +2,11 @@
 
 Both solvers exploit the global rotational symmetry and fix disk 0 at
 shift 0, leaving n_segments**(n_disks-1) candidate configurations, and
-walk them in the same lex order. The trailing few disks are always
-evaluated as one vectorized block, so the Python-level loop stays short.
-One function builds that block, one row per segment; exhaustive_search
-ranges a transposed copy.
+walk them in the same lex order. Each keeps its best leaf as its index in
+that order, whose n_disks - 1 base-n_segments digits are the shifts of
+disks 1 on. The trailing few disks are always evaluated as one vectorized
+block, so the Python-level loop stays short. One function builds that
+block, one row per segment; exhaustive_search ranges a transposed copy.
 
 The range solver adds each prefix profile to the block's columns. It
 seeds the incumbent by ranging the lex-first prefix in float64, then
@@ -73,33 +74,36 @@ def _tail_split(n_free: int, n_segments: int) -> int:
 
 
 def _prefix_batches(shifted: np.ndarray, n_pre: int, batch: int, start: int, stop: int):
-    """(outer, first, profiles) for batches start to stop - 1 of the n_pre >= 1 prefix disks' shifts, in lex order.
+    """(first_leaf, profiles) for batches start to stop - 1 of the n_pre >= 1 prefix disks' shifts, in lex order.
 
     A batch holds up to batch shifts of the last prefix disk, from first on,
     with the others at outer, so there are ceil(n_segments / batch) batches
     per shift of the others. Row t of profiles is rotated_sum(shifted,
     (0, *outer, first + t)), bit for bit: the other disks are summed once
     for each of their shift combinations, and that sum plus the last disk's
-    rotation is the last addition rotated_sum makes.
+    rotation is the last addition rotated_sum makes. first_leaf is the lex
+    index of the batch's first leaf, (0, *outer, first, 0, ..., 0), so leaf
+    (t, j) of the batch, tail column j of prefix row t, is first_leaf +
+    t * n_combos + j.
     """
-    ns = shifted.shape[2]
+    n, ns = shifted.shape[:2]
+    n_combos = ns ** (n - 1 - n_pre)
     last = shifted[n_pre]
     firsts = range(0, ns, batch)
     for index in range(start, stop):
         outer_index, f = divmod(index, len(firsts))
         if index == start or f == 0:
-            outer = _digits(outer_index, ns, n_pre - 1)
-            base = rotated_sum(shifted, (0, *outer))
-        yield outer, firsts[f], base + last[firsts[f] : firsts[f] + batch]
+            base = rotated_sum(shifted, (0, *_digits(outer_index, ns, n_pre - 1)))
+        yield (outer_index * ns + firsts[f]) * n_combos, base + last[firsts[f] : firsts[f] + batch]
 
 
-def _screened_ranges(table, scaled, profiles, picks: np.ndarray, buf: np.ndarray, best: float):
-    """Full ranges of the batch's leaves that may beat best, and their flat indices.
+def _screened_ranges(table, scaled, profiles, picks: np.ndarray, best: float):
+    """The batch's lowest full range below best and its first flat index; (inf, 0) if none is.
 
     Leaf (t, j), at flat index t * n_combos + j, is profiles[t] plus column
     j of table; scaled = (table32, e) is table * 2**-e in float32, which puts
     every leaf value in (-1, 1). The whole batch is screened as one float32
-    block in buf: the rows of table32 at picks, positions in each profile's
+    block: the rows of table32 at picks, positions in each profile's
     argsort, plus the profile's values there, ranged with one max and one
     min over those segments. A leaf is kept if that lower bound on its range
     is below best * 2**-e + _SINGLE_MARGIN. float32 rounds with an error of
@@ -108,32 +112,29 @@ def _screened_ranges(table, scaled, profiles, picks: np.ndarray, buf: np.ndarray
     and the threshold, below 2 + 2**-20, 2**-23; 7 * 2**-24 in all, which
     the margin of 16 * 2**-24 covers twice over (the float64 sums are far
     closer still). So every leaf whose float64 range is below best is kept.
-    The survivors are gathered by column and finished in float64; max and
-    min are exact, so every range equals exhaustive_search's bit for bit.
+    The survivors are gathered by column and finished in float64, a chunk
+    of about _BATCH_LEAVES values at a time; max and min are exact, so every
+    range equals exhaustive_search's bit for bit.
     """
     ns, n_combos = table.shape
     table32, e = scaled
-    # a stable argsort and a flat take touch less of numpy's sorting code, and so less
-    # resident memory, than the default kind and np.sort
-    seg = np.argsort(profiles, axis=1, kind="stable")[:, picks]
-    ranked = np.take(profiles, seg + np.arange(0, profiles.size, ns)[:, None])
-    ranked32 = np.ldexp(ranked, -e).astype(np.float32)
-    block = buf.view(np.float32)[: seg.size * n_combos].reshape(*seg.shape, n_combos)
-    np.take(table32, seg, axis=0, out=block, mode="clip")  # mode="raise" copies through a temporary
-    block += ranked32[:, :, None]
+    seg = np.argsort(profiles, axis=1)[:, picks]
+    block = table32[seg]
+    block += np.ldexp(np.take_along_axis(profiles, seg, axis=1), -e).astype(np.float32)[:, :, None]
     hi = block.max(axis=1).ravel()
     hi -= block.min(axis=1).ravel()
+    del block  # free before the finish allocates its chunks, which then reuse its memory
     keep = np.flatnonzero(hi < np.float32(math.ldexp(best, -e) + _SINGLE_MARGIN))
+    if keep.size == 0:
+        return math.inf, 0
     vals = np.empty(keep.size)
-    width = buf.size // (2 * ns)
+    width = max(1, _BATCH_LEAVES // ns)
     for c in range(0, keep.size, width):
         row, col = np.divmod(keep[c : c + width], n_combos)
-        full, rest = buf[: 2 * ns * col.size].reshape(2, ns, col.size)
-        np.take(table, col, axis=1, out=full, mode="clip")
-        np.take(profiles.T, row, axis=1, out=rest, mode="clip")
-        full += rest
+        full = table[:, col] + profiles.T[:, row]
         np.subtract(full.max(axis=0), full.min(axis=0), out=vals[c : c + width])
-    return vals, keep
+    i = int(np.argmin(vals))
+    return float(vals[i]), int(keep[i])
 
 
 def _single_precision(table: np.ndarray, rows: np.ndarray):
@@ -153,11 +154,6 @@ def _single_precision(table: np.ndarray, rows: np.ndarray):
 def _digits(index: int, base: int, count: int) -> tuple[int, ...]:
     """index's count lowest base-base digits, most significant first."""
     return tuple(index // base ** (count - 1 - pos) % base for pos in range(count))
-
-
-def _shift_vector(combo, index: int, n_segments: int, m: int) -> tuple[int, ...]:
-    """Row 0 at 0, the prefix rows at combo, the m tail rows at index's base-n_segments digits."""
-    return (0, *combo, *_digits(index, n_segments, m))
 
 
 def _leaves_within(devs: DeviationMatrix, cap: int | None) -> int:
@@ -187,15 +183,14 @@ def exhaustive_search(
     b = devs.devs
     n_disks, ns = b.shape
     t0 = time.perf_counter()
-    best_key = None
     if n_disks == 1:
         shifts: tuple[int, ...] = (0,)
     else:
         shifted = rotations(b)
         m = _tail_split(n_disks - 1, ns)
         table = np.ascontiguousarray(_tail_columns(shifted, range(n_disks - m, n_disks)).T)
-        best_val = np.inf
-        for combo in itertools.product(range(ns), repeat=n_disks - 1 - m):
+        best_val, best_leaf = np.inf, 0
+        for c, combo in enumerate(itertools.product(range(ns), repeat=n_disks - 1 - m)):
             block = rotated_sum(shifted, (0, *combo)) + table
             if objective == "range":
                 vals = block.max(axis=1)
@@ -205,8 +200,8 @@ def exhaustive_search(
             i = int(np.argmin(vals))
             if vals[i] < best_val:
                 best_val = float(vals[i])
-                best_key = (combo, i)
-        shifts = _shift_vector(*best_key, ns, m)
+                best_leaf = c * ns**m + i
+        shifts = (0, *_digits(best_leaf, ns, n_disks - 1))
     params = {"objective": objective, "cap": cap}
     return scored("exhaustive", devs, shifts, t0, nodes_explored=leaves, optimal=True, params=params)
 
@@ -235,11 +230,11 @@ def _range_search(shifted: np.ndarray, deadline: float):
     starts from the seed incumbent and puts its batches through
     _screened_ranges: the first minimum in a batch's flat (prefix, tail)
     order is its lex-first one, and only a strictly lower range replaces the
-    incumbent. fork_map walks the first part here and the others in forked
-    children. Besides the profiles a search holds three arrays: the float64
-    tail table, its float32 copy and, allocated after the seed, one float64
-    screen buffer, which every batch reuses for its float32 screen block and
-    then, chunk by chunk, for the float64 finish of its survivors.
+    incumbent, kept as one leaf index and decoded into shifts at the end.
+    fork_map walks the first part here and the others in forked children.
+    A search holds the float64 tail table and its float32 copy; each batch
+    allocates its profiles, its float32 screen block and the float64 chunks
+    that finish its survivors.
 
     Returns (shifts, leaves evaluated, completed), each leaf counted once.
     The identity range 0, or a deadline passed before any ranging, returns
@@ -259,54 +254,44 @@ def _range_search(shifted: np.ndarray, deadline: float):
     r = min(_SCREEN_EXTREMES, ns // 2)
     picks = np.arange(-r, r) % ns  # in a profile's argsort, its r highest and r lowest segments
     table = _tail_columns(shifted, range(n - m, n))
-    prefix = (0,) * n_pre
-    first = rotated_sum(shifted, (0, *prefix))
+    first = rotated_sum(shifted, (0,) * (n_pre + 1))
     zero = float(np.ptp(first + table[:, 0])) == 0.0
     if zero or time.perf_counter() > deadline:  # the identity, proven optimal if its range is 0
-        return _shift_vector(prefix, 0, ns, m), 0, zero
+        return (0,) * n, 0, zero
     vals = np.ptp(table + first[:, None], axis=0)
-    seed_key = (prefix, int(np.argmin(vals)))
-    seed = float(vals[seed_key[1]])
+    seed_leaf = int(np.argmin(vals))
+    seed = float(vals[seed_leaf])
     if n_pre == 0 or seed == 0.0:
-        return _shift_vector(*seed_key, ns, m), n_combos, True
+        return (0, *_digits(seed_leaf, ns, n - 1)), n_combos, True
     scaled = _single_precision(table, shifted[:, 0])
-    # a full batch's float32 screen block, two floats to a word; one per search, since a block
-    # this size allocated per batch would be a fresh mmap each time
-    buf = np.empty(-(-batch * len(picks) // 2) * n_combos)
 
     def walk(part):
-        best, best_key = seed, seed_key
-        leaves = 0
-        for outer, first_shift, profiles in _prefix_batches(shifted, n_pre, batch, *part):
+        best, best_leaf, leaves = seed, seed_leaf, 0
+        for first_leaf, profiles in _prefix_batches(shifted, n_pre, batch, *part):
             if time.perf_counter() > deadline:
-                return best, best_key, leaves, False
-            vals, keep = _screened_ranges(table, scaled, profiles, picks, buf, best)
+                return best, best_leaf, leaves, False
+            val, i = _screened_ranges(table, scaled, profiles, picks, best)
             leaves += len(profiles) * n_combos
-            if vals.size == 0:
-                continue
-            i = int(np.argmin(vals))
-            if vals[i] < best:
-                best = float(vals[i])
-                t, j = divmod(int(keep[i]), n_combos)
-                best_key = ((*outer, first_shift + t), j)
+            if val < best:
+                best, best_leaf = val, first_leaf + i
                 if best == 0.0:
-                    return best, best_key, leaves - (len(profiles) - 1 - t) * n_combos, True
-        return best, best_key, leaves, True
+                    return best, best_leaf, leaves - (len(profiles) - 1 - i // n_combos) * n_combos, True
+        return best, best_leaf, leaves, True
 
     n_batches = ns ** (n_pre - 1) * -(-ns // batch)
     n_parts = max(1, min(usable_cpus(), ns ** (n - 1) // _PART_LEAVES))
     bounds = [n_batches * p // n_parts for p in range(n_parts + 1)]
-    best, best_key, leaves, completed = seed, seed_key, 0, True
+    best, best_leaf, leaves, completed = seed, seed_leaf, 0, True
     with closing(fork_map(walk, list(zip(bounds, bounds[1:])))) as parts:
-        for part_best, part_key, part_leaves, part_completed in parts:
+        for part_best, part_leaf, part_leaves, part_completed in parts:
             if part_best < best:
-                best, best_key = part_best, part_key
+                best, best_leaf = part_best, part_leaf
             leaves += part_leaves
             completed &= part_completed
             if part_best == 0.0:  # one loop would stop here: the later parts are ended unread
                 break
     # the lex-first prefix is counted with the first batch, which ranges it again; before that batch, alone
-    return _shift_vector(*best_key, ns, m), max(leaves, n_combos), completed
+    return (0, *_digits(best_leaf, ns, n - 1)), max(leaves, n_combos), completed
 
 
 def branch_and_bound(

@@ -412,6 +412,17 @@ class TestExport:
         with pytest.raises(InvalidInputError):
             co.QuboModel(0.0, linear, upper, 1.0, True, nd, ns)
 
+    @pytest.mark.parametrize("offset, rho", [("1", None), (None, 1.0), (0.0, "abc"), ([1.0, 2.0], 1.0), (0.0, {})])
+    def test_model_rejects_an_offset_or_rho_float_cannot_read(self, offset, rho):
+        with pytest.raises(InvalidInputError, match="offset and rho must be numbers"):
+            co.QuboModel(offset, np.zeros(4), np.zeros((4, 4)), rho, True, 3, 2)
+
+    @pytest.mark.parametrize("offset, rho", [("1", "1"), (np.float32(1.5), True), (np.int64(2), np.float16(0.5))])
+    def test_model_stores_offset_and_rho_as_python_floats(self, offset, rho):
+        model = co.QuboModel(offset, np.zeros(4), np.zeros((4, 4)), rho, True, 3, 2)
+        assert type(model.offset) is float and model.offset == float(offset)
+        assert type(model.rho) is float and model.rho == float(rho)
+
     def test_huge_disks_header_fails_before_any_layout(self):
         # a 1000 x 1000 layout would take about 88 MB of tuples
         text = TWO_VARS.replace("disks 2 segments 2", "disks 1000 segments 1000")

@@ -60,3 +60,11 @@ def test_cli_solve_exits_2_with_an_error_line(solver, name, value, flags, messag
     assert code == 2
     assert f"error: {message}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", [["exact"], {"sa": 1}, {"approx"}])
+def test_a_solver_name_that_is_not_a_string_is_an_unknown_solver(name):
+    with pytest.raises(InvalidInputError, match="^unknown solver"):
+        co.solve(DEVS, name)
+    with pytest.raises(ConfigError, match="^unknown solver"):
+        SolverSpec(name)

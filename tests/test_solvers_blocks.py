@@ -39,12 +39,23 @@ class TestSplit:
         assert split_disk_blocks(4) == [[0], [1], [2, 3]]
 
     def test_blocks_partition_disks(self):
-        for nd in range(4, 40):
+        for nd in range(3, 61):
             blocks = split_disk_blocks(nd)
             assert len(blocks) >= 3
             flat = [k for block in blocks for k in block]
             assert flat == list(range(nd))
-            assert max(len(b) for b in blocks[:-1]) <= 8
+            assert max(len(b) for b in blocks) <= 8
+
+    @pytest.mark.parametrize(
+        "nd, sizes", [(22, [7, 7, 8]), (23, [5, 5, 5, 8]), (26, [6, 6, 6, 8]), (35, [7, 7, 7, 7, 7])]
+    )
+    def test_the_last_block_holds_at_most_eight_disks(self, nd, sizes):
+        assert [len(b) for b in split_disk_blocks(nd)] == sizes
+
+    @pytest.mark.parametrize("nd", [-1, 0, 1, 2, 5.0, True])
+    def test_fewer_than_three_disks_or_a_non_integer_is_rejected(self, nd):
+        with pytest.raises(InvalidInputError, match="n_disks"):
+            split_disk_blocks(nd)
 
 
 class TestBlockApproximate:
