@@ -5,18 +5,11 @@ builds the one-hot-encoded binary quadratic model of the problem, and
 solves it with an exhaustive oracle, an exact screened enumeration, a
 block-decomposition heuristic, and a simulated annealer, plus a benchmark
 harness comparing solution quality and runtime across instance sizes.
+
+The harness's names load `clutchopt.bench` on first use, so a solve never
+imports it (nor its csv and json).
 """
 
-from .bench import (
-    BenchmarkConfig,
-    BenchmarkRecord,
-    SolverSpec,
-    default_config,
-    emit_results,
-    parse_config,
-    parse_results,
-    run_benchmark,
-)
 from .errors import ConfigError, InvalidInputError, ProblemTooLargeError
 from .qubo import (
     InfeasibleSample,
@@ -60,3 +53,26 @@ from .stack import (
 )
 
 __version__ = "0.1.0"
+
+_BENCH_NAMES = (
+    "BenchmarkConfig",
+    "BenchmarkRecord",
+    "SolverSpec",
+    "default_config",
+    "emit_results",
+    "parse_config",
+    "parse_results",
+    "run_benchmark",
+)
+
+
+def __getattr__(name: str):
+    if name in _BENCH_NAMES:
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_BENCH_NAMES})

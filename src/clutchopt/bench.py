@@ -57,6 +57,8 @@ class SolverSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"solver parameters must be a dict, got {self.params!r}")
         # the config's key names before any value, so budget_seconds=abc is an unknown key;
         # an unknown solver is left to check_params
         known = isinstance(self.name, str) and self.name in SOLVER_PARAMS
@@ -101,11 +103,15 @@ class BenchmarkConfig:
             raise ConfigError(f"a size is listed more than once: {listed}")
         if not self.solvers:
             raise ConfigError("config needs at least one 'solver NAME'")
+        if bad := [spec for spec in self.solvers if not isinstance(spec, SolverSpec)]:
+            raise ConfigError(f"a solver entry is a SolverSpec, got {bad[0]!r}")
         names = [spec.name for spec in self.solvers]
         if len(set(names)) < len(names):
             raise ConfigError(f"a solver is listed more than once: {', '.join(names)}")
         # a config line is split on whitespace and cut at #, so "out PATH" cannot hold either
-        if self.out is not None and (self.out.split() != [self.out] or "#" in self.out):
+        if self.out is not None and not (
+            isinstance(self.out, str) and self.out.split() == [self.out] and "#" not in self.out
+        ):
             raise ConfigError(f"out must be a non-empty path without whitespace or '#', got {self.out!r}")
 
 

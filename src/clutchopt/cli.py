@@ -6,7 +6,6 @@ import argparse
 import sys
 from collections import defaultdict
 
-from .bench import default_config, emit_results, load_config, run_benchmark
 from .errors import ConfigError, InvalidInputError, ProblemTooLargeError
 from .qubo import annealing_penalty, build_qubo, export_qubo
 from .solvers import SOLVER_NAMES, SOLVER_PARAMS, check_params, solve
@@ -86,6 +85,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import default_config, emit_results, load_config, run_benchmark  # only bench needs the harness
+
     config = default_config() if args.config is None else load_config(args.config)
     out = args.out if args.out is not None else config.out
     if out is None:

@@ -115,6 +115,8 @@ def simulated_anneal(
     if model.n_vars < 1:
         raise InvalidInputError("model has no variables to anneal")
     check_integer("samples", samples)
+    if schedule is not None and not isinstance(schedule, AnnealSchedule):
+        raise InvalidInputError(f"schedule must be an AnnealSchedule or None, got {schedule!r}")
     sched = schedule if schedule is not None else default_schedule(model)
 
     t0 = time.perf_counter()

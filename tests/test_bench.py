@@ -76,6 +76,11 @@ class TestConfig:
                 tiny_config(target_thickness=a0, max_variation=delta)
         assert tiny_config(target_thickness=2, max_variation=np.float32(0.5)).max_variation == 0.5
 
+    @pytest.mark.parametrize("solvers", [["exact"], (SolverSpec("exact"), "sa"), ({"name": "exact"},)])
+    def test_rejects_a_solver_entry_that_is_not_a_solver_spec(self, solvers):
+        with pytest.raises(ConfigError, match="^a solver entry is a SolverSpec"):
+            tiny_config(solvers=solvers)
+
     @pytest.mark.parametrize(
         "lines", ["a0 nan\ndelta nan\n", "a0 nan\n", "delta nan\n", "delta inf\n", "a0 -inf\n"]
     )
@@ -156,7 +161,9 @@ class TestConfig:
         )
         assert parse_config(text) == tiny_config(out=out)
 
-    @pytest.mark.parametrize("out", ["", "my results.csv", "run#2.csv", " r.csv", "r.csv\n", "a\tb"])
+    @pytest.mark.parametrize(
+        "out", ["", "my results.csv", "run#2.csv", " r.csv", "r.csv\n", "a\tb", 5, b"r.csv", ["r.csv"]]
+    )
     def test_rejects_out_that_would_not_round_trip(self, out):
         with pytest.raises(ConfigError, match="out must be"):
             tiny_config(out=out)

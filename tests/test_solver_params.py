@@ -68,3 +68,9 @@ def test_a_solver_name_that_is_not_a_string_is_an_unknown_solver(name):
         co.solve(DEVS, name)
     with pytest.raises(ConfigError, match="^unknown solver"):
         SolverSpec(name)
+
+
+@pytest.mark.parametrize("name, params", [("sa", None), ("sa", [1]), ("nope", None), ("exact", (("cap", 5),))])
+def test_solver_spec_params_that_are_not_a_dict_raise_config_error(name, params):
+    with pytest.raises(ConfigError, match="^solver parameters must be a dict"):
+        SolverSpec(name, params)

@@ -196,6 +196,11 @@ class TestSimulatedAnneal:
         with pytest.raises(InvalidInputError):
             simulated_anneal(example_model(), samples=0)
 
+    @pytest.mark.parametrize("schedule", [5, 1500, (1500, 0.1, 10.0), {"sweeps": 10}])
+    def test_schedule_must_be_an_anneal_schedule_or_none(self, schedule):
+        with pytest.raises(InvalidInputError, match="schedule must be an AnnealSchedule or None"):
+            simulated_anneal(example_model(), schedule)
+
     @pytest.mark.parametrize("samples", [2.5, True, np.float64(3.0), "3"])
     def test_samples_must_be_an_integer(self, samples):
         with pytest.raises(InvalidInputError, match="samples must be an integer"):
