@@ -13,11 +13,12 @@ import csv
 import io
 import json
 import typing
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, InvalidInputError, ProblemTooLargeError, check_integer, read_text
 from .rng import derive_seed
-from .solvers import SOLVER_PARAMS, check_params, solve
+from .solvers import DEFAULT_ENUMERATION_CAP, DEFAULT_SAMPLES, DEFAULT_SWEEPS, SOLVER_PARAMS, check_params, solve
 from .solvers.result import REPORTED_FIELDS, format_value
 from .stack import (
     DEFAULT_MAX_VARIATION,
@@ -84,6 +85,9 @@ class BenchmarkConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("sizes", "solvers"):
+            if not isinstance(value := getattr(self, name), Sequence):
+                raise ConfigError(f"{name} must be a sequence, got {value!r}")
         if not self.sizes:
             raise ConfigError("config needs at least one 'size ND NS'")
         try:
@@ -155,9 +159,9 @@ def default_config() -> BenchmarkConfig:
     sizes = tuple((nd, 6) for nd in range(2, 7)) + tuple((nd, 42) for nd in range(2, 8))
     solvers = (
         SolverSpec("exhaustive", {"cap": 10_000}),
-        SolverSpec("exact", {"cap": 10_000_000}),
+        SolverSpec("exact", {"cap": DEFAULT_ENUMERATION_CAP}),
         SolverSpec("approx", {}),
-        SolverSpec("sa", {"samples": 35, "sweeps": 1500}),
+        SolverSpec("sa", {"samples": DEFAULT_SAMPLES, "sweeps": DEFAULT_SWEEPS}),
     )
     return BenchmarkConfig(sizes=sizes, instances_per_size=2, solvers=solvers)
 

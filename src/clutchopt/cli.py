@@ -97,7 +97,8 @@ def _cmd_bench(args) -> int:
               f"solvers: {', '.join(names)}")
         records = run_benchmark(config, progress=lambda r: print(
             f"  {r.instance:>14s} {r.solver:>10s} {r.status:>5s}"
-            + (f"  range={r.range:.6f}  {r.wall_time:.2f}s" if r.status == "ok" else f"  ({r.note})")
+            + (f"  range={r.range:.6f}  {r.wall_time:.2f}s" if r.status == "ok"
+               else f"  ({r.note})" if r.note else "")
         ))
         sink.write(emit_results(records, args.format))
     print(f"\nwrote {len(records)} records to {out}")

@@ -40,6 +40,7 @@ still stretch.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -65,8 +66,9 @@ class AnnealSchedule:
 
     def __post_init__(self) -> None:
         check_integer("sweeps", self.sweeps)
-        if not (0 < self.beta_initial <= self.beta_final and math.isfinite(self.beta_final)):
-            raise InvalidInputError("need 0 < beta_initial <= beta_final < inf")
+        real = all(isinstance(beta, numbers.Real) for beta in (self.beta_initial, self.beta_final))
+        if not (real and 0 < self.beta_initial <= self.beta_final and math.isfinite(self.beta_final)):
+            raise InvalidInputError("need real numbers 0 < beta_initial <= beta_final < inf")
 
     def betas(self) -> np.ndarray:
         return np.geomspace(self.beta_initial, self.beta_final, self.sweeps)
@@ -143,26 +145,20 @@ def simulated_anneal(
             act = np.vecdot(x, coupling.take(v, axis=0))
             flips = (sign * (lin + act) < limit).nonzero()[0]
             flat[c[flips]] = flipped[flips]
-        if not np.array_equal(x, start):
-            field = None
-        elif field is None:
-            field = local_fields(model, x).reshape(-1)
+        # a sweep the screen lets through moves a chain, so a still sweep here starts a still stretch
+        field = local_fields(model, x).reshape(-1) if np.array_equal(x, start) else None
 
     energies = evaluate_batch(model, x)
-    best: tuple[float, tuple[int, ...]] | None = None
-    feasible = 0
+    feasible = []
     for c in range(samples):
         decoded = decode_solution(x[c].astype(np.int8), model)
-        if isinstance(decoded, InfeasibleSample):
-            continue
-        feasible += 1
-        key = (float(energies[c]), canonicalize_shifts(decoded, model.n_segments))
-        if best is None or key < best:
-            best = key
-
+        if not isinstance(decoded, InfeasibleSample):
+            feasible.append((float(energies[c]), canonicalize_shifts(decoded, model.n_segments)))
+    energy, shifts = min(feasible, default=(float(energies.min()), None))
     fields = {
+        "energy": energy,
         "samples_total": samples,
-        "samples_feasible": feasible,
+        "samples_feasible": len(feasible),
         "seed": seed,
         "params": {
             "rho": model.rho,
@@ -172,12 +168,7 @@ def simulated_anneal(
             "beta_final": sched.beta_final,
         },
     }
-    if best is None:
-        wall = time.perf_counter() - t0
-        return SolveResult("sa", None, None, None, energy=float(energies.min()), wall_time=wall, **fields)
-    energy, shifts = best
-    if devs is not None:
-        return scored("sa", devs, shifts, t0, energy=energy, **fields)
-    wall = time.perf_counter() - t0
-    sigma = math.sqrt(max(energy, 0.0) / model.n_segments)
-    return SolveResult("sa", shifts, sigma, None, energy=energy, wall_time=wall, **fields)
+    if shifts is not None and devs is not None:
+        return scored("sa", devs, shifts, t0, **fields)
+    sigma = None if shifts is None else math.sqrt(max(energy, 0.0) / model.n_segments)
+    return SolveResult("sa", shifts, sigma, None, wall_time=time.perf_counter() - t0, **fields)

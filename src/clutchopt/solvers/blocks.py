@@ -37,39 +37,32 @@ def split_disk_blocks(n_disks: int) -> list[list[int]]:
 
 
 def block_approximate(devs: DeviationMatrix, budget_seconds: float | None = None) -> SolveResult:
-    """Block-decomposition search; delegates to the exact solver below 4 disks."""
+    """Block-decomposition search; only its delegated exact search, below 4 disks, proves optimality."""
     b = devs.devs
     ns = devs.n_segments
     t0 = time.perf_counter()
     deadline = _deadline(t0, budget_seconds)
 
-    if devs.n_disks < 4:
-        shifts, leaves, completed = _range_search(rotations(b), deadline)
-        delegated = True
+    delegated = devs.n_disks < 4
+    if delegated:
+        shifts, leaves, optimal = _range_search(rotations(b), deadline)
     else:
-        delegated = False
-        completed = True
+        optimal = False
         leaves = 0
         blocks = split_disk_blocks(devs.n_disks)
         internal: list[tuple[int, ...]] = []
         super_rows = np.empty((len(blocks), ns))
         for g, block in enumerate(blocks):
             shifted = rotations(b[block])
-            sub_shifts, sub_leaves, sub_done = _range_search(shifted, deadline)
+            sub_shifts, sub_leaves, _ = _range_search(shifted, deadline)
             internal.append(sub_shifts)
             leaves += sub_leaves
-            completed = completed and sub_done
             super_rows[g] = rotated_sum(shifted, sub_shifts)
-        rot, rot_leaves, rot_done = _range_search(rotations(super_rows), deadline)
+        rot, rot_leaves, _ = _range_search(rotations(super_rows), deadline)
         leaves += rot_leaves
-        completed = completed and rot_done
-        out = [0] * devs.n_disks
-        for g, block in enumerate(blocks):
-            for k, s in zip(block, internal[g]):
-                out[k] = (s + rot[g]) % ns
-        shifts = tuple(out)
+        # split_disk_blocks returns contiguous blocks in disk order, so each block's
+        # internal shifts, moved by its rotation, follow one another disk by disk
+        shifts = tuple((s + r) % ns for sub_shifts, r in zip(internal, rot) for s in sub_shifts)
 
     params = {"delegated": delegated, "budget_seconds": budget_seconds}
-    return scored(
-        "approx", devs, shifts, t0, nodes_explored=leaves, optimal=delegated and completed, params=params
-    )
+    return scored("approx", devs, shifts, t0, nodes_explored=leaves, optimal=optimal, params=params)

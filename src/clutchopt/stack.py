@@ -28,7 +28,10 @@ ShiftVector = tuple[int, ...]
 
 def _checked(values, ndim: int, name: str) -> np.ndarray:
     """values as a read-only float64 copy with ndim non-empty axes and only finite entries."""
-    arr = np.array(values, dtype=np.float64)
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be an array of real numbers: {exc}") from None
     if arr.ndim != ndim or 0 in arr.shape:
         raise InvalidInputError(f"{name} must be a non-empty {ndim}-D array")
     if not np.isfinite(arr).all():

@@ -14,6 +14,7 @@ from clutchopt.bench import (
     run_benchmark,
 )
 from clutchopt.errors import ConfigError
+from clutchopt.solvers import DEFAULT_ENUMERATION_CAP, DEFAULT_SAMPLES, DEFAULT_SWEEPS
 
 
 def tiny_config(**overrides):
@@ -75,6 +76,11 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 tiny_config(target_thickness=a0, max_variation=delta)
         assert tiny_config(target_thickness=2, max_variation=np.float32(0.5)).max_variation == 0.5
+
+    @pytest.mark.parametrize("field", ["sizes", "solvers"])
+    def test_rejects_sizes_or_solvers_that_are_no_sequence(self, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be a sequence, got 5$"):
+            tiny_config(**{field: 5})
 
     @pytest.mark.parametrize("solvers", [["exact"], (SolverSpec("exact"), "sa"), ({"name": "exact"},)])
     def test_rejects_a_solver_entry_that_is_not_a_solver_spec(self, solvers):
@@ -289,6 +295,24 @@ class TestEmitParse:
         assert len(text.splitlines()) == len(records)
         assert parse_results(text, "jsonl") == records
 
+    def test_no_feasible_sample_row_round_trips(self):
+        # a penalty near zero and one sweep leave every chain off the one-hot constraints
+        config = tiny_config(
+            sizes=((3, 4),),
+            instances_per_size=1,
+            base_seed=1,
+            solvers=(SolverSpec("sa", {"samples": 3, "sweeps": 1, "rho": 1e-9}),),
+        )
+        records = run_benchmark(config)
+        (row,) = records
+        assert row.status == "no-feasible-sample" and row.note == ""
+        assert row.sigma is None and row.range is None and row.energy is not None
+        assert (row.samples_total, row.samples_feasible) == (3, 0)
+        text = emit_results(records, "csv")
+        assert text.splitlines()[1].startswith("nd3_ns4_i0,3,4,8,sa,no-feasible-sample,,,")
+        assert parse_results(text, "csv") == records
+        assert parse_results(emit_results(records, "jsonl"), "jsonl") == records
+
     def test_jsonl_values_typed_like_csv_cells(self):
         (record,) = parse_results(_jsonl_row(wall_time=0, optimal=False) + "\n", "jsonl")
         assert record.wall_time == 0.0 and isinstance(record.wall_time, float)
@@ -342,3 +366,6 @@ class TestDefaultConfig:
         assert names == ["exhaustive", "exact", "approx", "sa"]
         sa = config.solvers[-1]
         assert sa.params == {"samples": 35, "sweeps": 1500}
+        # the grid takes its defaults from the solvers, one source for each
+        assert config.solvers[1].params == {"cap": DEFAULT_ENUMERATION_CAP}
+        assert sa.params == {"samples": DEFAULT_SAMPLES, "sweeps": DEFAULT_SWEEPS}

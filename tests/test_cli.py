@@ -67,6 +67,21 @@ class TestSolve:
         assert "solver: sa" in stdout
         assert "samples_total: 5" in stdout
 
+    def test_sa_without_a_feasible_chain_reports_no_feasible_sample(self, tmp_path, capsys):
+        path = tmp_path / "inst.txt"
+        assert run(capsys, "generate", "--nd", "3", "--ns", "4", "--seed", "1", "--out", str(path))[0] == 0
+        # a penalty near zero and one sweep leave every chain off the one-hot constraints
+        code, stdout, _ = run(
+            capsys, "solve", "--instance", str(path), "--solver", "sa",
+            "--samples", "3", "--sweeps", "1", "--rho", "1e-9", "--seed", "0",
+        )
+        assert code == 0
+        values = dict(line.split(": ", 1) for line in stdout.splitlines())
+        assert values["status"] == "no-feasible-sample"
+        assert values["shifts"] == values["sigma"] == values["range"] == "-"
+        assert values["samples_total"] == "3" and values["samples_feasible"] == "0"
+        assert float(values["energy"]) > 0
+
     def test_output_keys_in_order_and_none_as_dash(self, instance, capsys):
         code, stdout, _ = run(capsys, "solve", "--instance", str(instance), "--solver", "exact")
         assert code == 0
@@ -244,6 +259,13 @@ class TestBench:
         assert list(means) == names
         for name in names:
             assert means[name] == f"{sum(row[name].range for row in shared) / len(shared):.6f}"
+
+    def test_bench_progress_line_has_no_empty_note(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text("size 3 4\ninstances 1\nseed 1\nsolver sa samples=3 sweeps=1 rho=1e-9\n")
+        code, stdout, _ = run(capsys, "bench", "--config", str(config), "--out", str(tmp_path / "r.csv"))
+        assert code == 0
+        assert stdout.splitlines()[1] == "      nd3_ns4_i0         sa no-feasible-sample"
 
     def test_bench_jsonl(self, tmp_path, capsys):
         config = tmp_path / "bench.cfg"

@@ -89,6 +89,10 @@ class TestSchedule:
             AnnealSchedule(beta_initial=2.0, beta_final=1.0)
         with pytest.raises(InvalidInputError):
             AnnealSchedule(beta_initial=1.0, beta_final=math.inf)
+        # a beta is a real number: a str or None is not
+        for beta_initial, beta_final in [("1", 1.0), (None, 1.0), (1.0, "2")]:
+            with pytest.raises(InvalidInputError, match="need real numbers"):
+                AnnealSchedule(5, beta_initial, beta_final)
 
     @pytest.mark.parametrize("sweeps", [2.5, True, np.float64(3.0), "3"])
     def test_sweeps_must_be_an_integer(self, sweeps):

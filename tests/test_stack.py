@@ -72,6 +72,21 @@ class TestDeviations:
             co.DeviationMatrix(np.array([[1.0, 2.0]]))
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: co.DiskStack([["a", "b"]]), "heights"),
+        (lambda: co.DiskStack([[1.0, 2.0], [1.0]]), "heights"),
+        (lambda: co.DeviationMatrix({}), "devs"),
+        (lambda: co.stddev([1 + 1j, 2]), "profile"),
+    ],
+    ids=["strings", "ragged", "dict", "complex"],
+)
+def test_values_that_are_no_real_array_raise_invalid_input(build, name):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be an array of real numbers"):
+        build()
+
+
 class TestApplyShifts:
     DEVS = co.DeviationMatrix(np.array([[-1.5, 0.5], [-0.5, 1.5]]))
 
