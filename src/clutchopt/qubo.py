@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -385,56 +386,37 @@ def _column(tokens: list[str], read, dtype, known: dict) -> np.ndarray:
         return np.fromiter(map(known.__getitem__, tokens), dtype, len(tokens))
 
 
-def _read_q(toks: list[str], n: int, n_vars: int, known: tuple[dict, dict]) -> _Columns:
-    """The columns i, j and coeff of n lines that start with Q, from their tokens.
+def _bare_q_columns(block: str, n_vars: int, known: tuple[dict, dict]) -> _Columns | None:
+    """The columns i, j and coeff of a block of good bare Q lines, else None.
 
-    There must be 4n tokens, with "Q" at positions 0, 4, 8, ... Every other
-    token must read as a number, so none is "Q", and no number starts with
-    Q, so each line's first token is one of those n "Q"s: the n lines start
-    4 tokens apart and each has exactly four. Raises ValueError or
-    OverflowError otherwise.
+    A bare Q line starts with Q and is ended by "\n" alone. A block of them,
+    as export_qubo writes every block after its header region, is tokenized
+    whole, with no line list. Its n lines must give 4n tokens with "Q" at
+    positions 0, 4, 8, ... Every other token must read as a number, so none
+    is "Q", and no number starts with Q, so each line's first token is one
+    of those n "Q"s: the n lines start 4 tokens apart and each has exactly
+    four. A block that fails any check, a bad line included, is left to the
+    line-by-line reading, which names the bad line.
 
     Numbers read as int() and float() read them, but each distinct text is
     read once per parse: known holds the texts read so far, ints for the
     indices and floats for the coefficients.
     """
-    if not len(toks) == 4 * n == 4 * toks[::4].count("Q"):
-        raise ValueError
-    ints, floats = known
-    i = _column(toks[1::4], int, np.int64, ints)
-    j = _column(toks[2::4], int, np.int64, ints)
-    coeff = _column(toks[3::4], float, np.float64, floats)
-    if not np.all((0 <= i) & (i < j) & (j < n_vars)):
-        raise ValueError
-    return i, j, coeff
-
-
-def _q_columns(batch: list[str], n_vars: int, known: tuple[dict, dict]) -> _Columns:
-    """The columns of a batch of stripped lines that start with Q, tokenized at once.
-
-    On a failure the lines are read one at a time to name the first bad one.
-    """
-    try:
-        return _read_q(" ".join(batch).split(), len(batch), n_vars, known)
-    except (ValueError, OverflowError):
-        if len(batch) > 1:
-            for ln in batch:
-                _q_columns([ln], n_vars, known)
-        raise InvalidInputError(f"bad line: {batch[0]!r}") from None
-
-
-def _bare_q_columns(block: str, n_vars: int, known: tuple[dict, dict]) -> _Columns | None:
-    """The columns of a block of good Q lines, each starting with Q and ended by "\n" alone, else None.
-
-    Such a block, as export_qubo writes them, is tokenized whole, with no
-    line list; a bad line is left to the line-by-line reading to name.
-    """
     n = block.count("\n") + (not block.endswith("\n"))
-    if block.startswith("Q") and block.count("\nQ") == n - 1 and not any(c in block for c in _OTHER_BREAKS):
-        try:
-            return _read_q(block.split(), n, n_vars, known)
-        except (ValueError, OverflowError):
-            pass
+    if not block.startswith("Q") or block.count("\nQ") != n - 1 or any(c in block for c in _OTHER_BREAKS):
+        return None
+    toks = block.split()
+    if not len(toks) == 4 * n == 4 * toks[::4].count("Q"):
+        return None
+    ints, floats = known
+    try:
+        i = _column(toks[1::4], int, np.int64, ints)
+        j = _column(toks[2::4], int, np.int64, ints)
+        coeff = _column(toks[3::4], float, np.float64, floats)
+        if np.all((0 <= i) & (i < j) & (j < n_vars)):
+            return i, j, coeff
+    except (ValueError, OverflowError):
+        pass
     return None
 
 
@@ -449,14 +431,18 @@ def parse_qubo(text: str) -> QuboModel:
     list the variables 0, 1, ... in order and in the fixed layout of
     QuboModel; parsing rejects any other varmap.
 
-    The text is read in blocks of about PARSE_BLOCK characters cut at
-    newlines. A block of bare Q lines, as the export writes all but the
-    first, is tokenized whole (_bare_q_columns). Otherwise the block's Q
-    lines are read in bulk by _q_columns, and every other line one at a
-    time, a loop skipped when there is none. Both Q readers convert each
-    distinct index or coefficient text once per parse, with int and float.
-    The Q coefficients go straight into the upper triangle of the coupling
-    matrix.
+    The text after the header is read as two regions, cut at the start of
+    its first line that begins with Q: the comment and L lines before it,
+    and from it to the end, the Q lines as export_qubo writes them. Each
+    region is read in blocks of about PARSE_BLOCK characters cut at
+    newlines. A block of bare Q lines, each starting with Q and ended by
+    "\n" alone, as the export writes every block of its second region, is
+    tokenized whole (_bare_q_columns), converting each distinct index or
+    coefficient text once per parse with int and float. Every other block
+    is read one line at a time: indented or CRLF-ended text, blank lines,
+    and L or comment lines among the Q lines are correct there, only
+    slower. The Q coefficients go straight into the upper triangle of the
+    coupling matrix.
     """
     body = text.lstrip()
     # the first line, ended wherever splitlines would end it
@@ -475,20 +461,19 @@ def parse_qubo(text: str) -> QuboModel:
     var_map: list[tuple[int, int]] = []
     lin_index: list[int] = []
     lin_coeff: list[float] = []
-    q_parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    # the Q lines read one at a time, as Python numbers until the checks below bound n_vars
+    q_i: list[int] = []
+    q_j: list[int] = []
+    q_coeff: list[float] = []
+    q_parts: list[_Columns] = []
     known = ({}, {})  # the index and coefficient texts read so far
-    for block in _blocks(body[len(head) :]):
+    q_start = body.find("\nQ", len(head)) + 1 or len(body)
+    for block in chain(_blocks(body[len(head) : q_start]), _blocks(body[q_start:])):
         if (columns := _bare_q_columns(block, n_vars, known)) is not None:
             q_parts.append(columns)
             continue
-        lines = [ln for ln in map(str.strip, block.splitlines()) if ln]
-        batch = [ln for ln in lines if ln[0] == "Q"]
-        if batch:
-            q_parts.append(_q_columns(batch, n_vars, known))
-        if len(batch) == len(lines):
-            continue
-        for ln in lines:
-            if ln[0] == "Q":
+        for ln in map(str.strip, block.splitlines()):
+            if not ln:
                 continue
             parts = ln.split()
             try:
@@ -507,6 +492,10 @@ def parse_qubo(text: str) -> QuboModel:
                 elif parts[0] == "L" and len(parts) == 3 and 0 <= (i := int(parts[1])) < n_vars:
                     lin_index.append(i)
                     lin_coeff.append(float(parts[2]))
+                elif parts[0] == "Q" and len(parts) == 4 and 0 <= (i := int(parts[1])) < (j := int(parts[2])) < n_vars:
+                    q_i.append(i)
+                    q_j.append(j)
+                    q_coeff.append(float(parts[3]))
                 else:
                     raise InvalidInputError(f"bad line: {ln!r}")
             except (IndexError, KeyError, ValueError):
@@ -524,6 +513,7 @@ def parse_qubo(text: str) -> QuboModel:
         raise InvalidInputError("var_map must follow the fixed (disk, shift) layout")
     if len(set(lin_index)) < len(lin_index):
         raise InvalidInputError("an L index is given twice")
+    q_parts.append((np.array(q_i, np.int64), np.array(q_j, np.int64), np.array(q_coeff)))
     i, j, coeff = map(np.concatenate, zip(*q_parts))
     if np.bincount(i * n_vars + j, minlength=1).max() > 1:
         raise InvalidInputError("a Q pair is given twice")

@@ -66,7 +66,8 @@ class AnnealSchedule:
 
     def __post_init__(self) -> None:
         check_integer("sweeps", self.sweeps)
-        real = all(isinstance(beta, numbers.Real) for beta in (self.beta_initial, self.beta_final))
+        # a bool is no beta, as check_band and check_integer reject it elsewhere
+        real = all(isinstance(b, numbers.Real) and not isinstance(b, bool) for b in (self.beta_initial, self.beta_final))
         if not (real and 0 < self.beta_initial <= self.beta_final and math.isfinite(self.beta_final)):
             raise InvalidInputError("need real numbers 0 < beta_initial <= beta_final < inf")
 

@@ -29,6 +29,9 @@ ShiftVector = tuple[int, ...]
 def _checked(values, ndim: int, name: str) -> np.ndarray:
     """values as a read-only float64 copy with ndim non-empty axes and only finite entries."""
     try:
+        # the cast from a complex dtype would only warn, dropping the imaginary parts
+        if (dtype := np.asarray(values).dtype).kind == "c":
+            raise TypeError(f"got {dtype} values")
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name} must be an array of real numbers: {exc}") from None

@@ -547,6 +547,36 @@ class TestExport:
             with pytest.raises(InvalidInputError, match="bad line"):
                 co.parse_qubo("\n".join(bad) + "\n")
 
+    @pytest.mark.parametrize("block", [None, 256])
+    def test_q_lines_before_the_comment_and_l_lines(self, block, monkeypatch):
+        # the Q region then starts right after the header and holds every other line too
+        model, lines = self._production_lines()
+        if block:
+            monkeypatch.setattr(co.qubo, "PARSE_BLOCK", block)
+        q = [ln for ln in lines[1:] if ln.startswith("Q ")]
+        rest = [ln for ln in lines[1:] if not ln.startswith("Q ")]
+        self._assert_models_equal(co.parse_qubo("\n".join([lines[0], *q, *rest]) + "\n"), model)
+
+    @pytest.mark.parametrize("block, gap", [(None, 1), (64, 40)])
+    def test_l_line_and_indented_q_line_inside_the_q_region(self, block, gap, monkeypatch):
+        # an L line moved among the Q lines and an indented Q line, in one block or across a block edge
+        model, lines = self._production_lines()
+        if block:
+            monkeypatch.setattr(co.qubo, "PARSE_BLOCK", block)
+        at = len(lines) - 1000
+        l_at = next(p for p, ln in enumerate(lines) if ln.startswith("L "))
+        odd = lines[:at] + [lines[l_at]] + lines[at : at + gap] + ["  " + lines[at + gap]] + lines[at + gap + 1 :]
+        del odd[l_at]
+        assert sum(ln.startswith("L ") for ln in odd[at - 1 :]) == 1
+        self._assert_models_equal(co.parse_qubo("\n".join(odd) + "\n"), model)
+
+    @pytest.mark.parametrize("bad", [("L 1 x", "Q 1 0 2.0"), ("Q 1 0 2.0", "L 1 x")], ids=["L-first", "Q-first"])
+    def test_the_first_bad_line_in_file_order_is_named(self, bad):
+        # one block of the Q region with a bad L line and a bad Q line, in either order
+        text = TWO_VARS + "Q 0 1 1.0\n" + "\n".join(bad) + "\n"
+        with pytest.raises(InvalidInputError, match=f"^bad line: {re.escape(repr(bad[0]))}$"):
+            co.parse_qubo(text)
+
     def test_a_bad_coefficient_given_twice_names_its_first_line(self):
         _, lines = self._production_lines()
         q = [p for p, ln in enumerate(lines) if ln.startswith("Q ")]

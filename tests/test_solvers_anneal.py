@@ -89,8 +89,8 @@ class TestSchedule:
             AnnealSchedule(beta_initial=2.0, beta_final=1.0)
         with pytest.raises(InvalidInputError):
             AnnealSchedule(beta_initial=1.0, beta_final=math.inf)
-        # a beta is a real number: a str or None is not
-        for beta_initial, beta_final in [("1", 1.0), (None, 1.0), (1.0, "2")]:
+        # a beta is a real number: a str, None or a bool is not
+        for beta_initial, beta_final in [("1", 1.0), (None, 1.0), (1.0, "2"), (True, 2.0), (0.5, True)]:
             with pytest.raises(InvalidInputError, match="need real numbers"):
                 AnnealSchedule(5, beta_initial, beta_final)
 

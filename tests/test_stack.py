@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,12 +80,19 @@ class TestDeviations:
         (lambda: co.DiskStack([[1.0, 2.0], [1.0]]), "heights"),
         (lambda: co.DeviationMatrix({}), "devs"),
         (lambda: co.stddev([1 + 1j, 2]), "profile"),
+        # a complex dtype is refused before the cast to float64, which would warn and drop the imaginary parts
+        (lambda: co.stddev(np.array([1 + 1j, -1 - 1j])), "profile"),
+        (lambda: co.DiskStack(np.array([[1 + 0j, 2]])), "heights"),
+        (lambda: co.DiskStack([np.array([1 + 0j, 2], dtype=np.complex64)]), "heights"),
+        (lambda: co.DeviationMatrix(np.array([[1j, -1j]])), "devs"),
     ],
-    ids=["strings", "ragged", "dict", "complex"],
+    ids=["strings", "ragged", "dict", "complex", "complex-array", "complex-reals", "complex-rows", "complex-devs"],
 )
 def test_values_that_are_no_real_array_raise_invalid_input(build, name):
-    with pytest.raises(InvalidInputError, match=f"^{name} must be an array of real numbers"):
-        build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an array of real numbers"):
+            build()
 
 
 class TestApplyShifts:
