@@ -64,7 +64,7 @@ class SolverSpec:
         # an unknown solver is left to check_params
         known = isinstance(self.name, str) and self.name in SOLVER_PARAMS
         if known and (unknown := self.params.keys() - _SOLVER_PARAM_TYPES.keys()):
-            raise ConfigError(f"{self.name} does not take {', '.join(sorted(unknown))}")
+            raise ConfigError(f"{self.name} does not take {', '.join(sorted(map(str, unknown)))}")
         try:
             check_params(self.name, self.solve_kwargs())
         except InvalidInputError as exc:

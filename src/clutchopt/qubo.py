@@ -15,6 +15,7 @@ and a feasible assignment's energy equals that norm with zero penalty.
 
 from __future__ import annotations
 
+import io
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, check_integer, read_text
-from .stack import DeviationMatrix, ShiftVector, _as_shift_vector, rotations
+from .stack import DeviationMatrix, ShiftVector, _as_shift_vector, _real_array, rotations
 
 # cross-disk couplings smaller than this fraction of the largest coefficient
 # are dropped; lossy only below numerical noise
@@ -105,8 +106,8 @@ class QuboModel:
         check_integer("n_disks", self.n_disks)
         check_integer("n_segments", self.n_segments)
         n = self.n_vars
-        lin = np.array(self.linear, dtype=np.float64)
-        upper = np.asarray(upper, dtype=np.float64)
+        lin = _real_array(self.linear, "linear")
+        upper = _real_array(upper, "upper", copy=None)
         if not (lin.shape == (n,) and upper.shape == (n, n)):
             raise InvalidInputError(f"linear and upper do not fit {self.n_disks} disks x {self.n_segments} segments")
         if np.tril(upper).any():
@@ -266,7 +267,10 @@ def encode_shifts(shifts, n_segments: int, gauge_fixed: bool = True) -> np.ndarr
 def _as_bits(bits, n_vars: int, rows: bool) -> np.ndarray:
     """bits as one assignment of n_vars entries, or with rows a 2-D array of them, each a
     bool or real number equal to 0 or 1: text is not a bit, even where float() reads one."""
-    x = np.asarray(bits)
+    try:
+        x = np.asarray(bits)
+    except ValueError as exc:  # a ragged list
+        raise InvalidInputError(f"bits must be an array: {exc}") from None
     if x.ndim != 1 + rows or x.shape[-1] != n_vars:
         raise InvalidInputError(f"expected {'rows of ' if rows else ''}{n_vars} bits, got shape {x.shape}")
     if x.dtype.kind not in "biuf" or not np.all((x == 0) | (x == 1)):
@@ -308,7 +312,7 @@ def evaluate_batch(model: QuboModel, assignments: np.ndarray) -> np.ndarray:
 
 def evaluate(model: QuboModel, bits) -> float:
     """Energy of one assignment: the batch-of-one case of evaluate_batch."""
-    return float(evaluate_batch(model, np.asarray(bits)[None])[0])
+    return float(evaluate_batch(model, [bits])[0])
 
 
 # export_qubo joins its Q lines this many at a time, parse_qubo reads its
@@ -364,59 +368,32 @@ def _blocks(text: str):
         start = end
 
 
-# the line breaks str.splitlines honours besides "\n"
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# what np.loadtxt misreads: the ASCII line breaks str.splitlines honours besides "\n", which it reads
+# as spaces inside a line, and NUL, which its U2 field drops when trailing
+_MISREAD = "\r\x0b\x0c\x1c\x1d\x1e\x00"
 
-_Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+_Q_LINE = np.dtype([("q", "U2"), ("i", np.int64), ("j", np.int64), ("coeff", np.float64)])
 
 
-def _column(tokens: list[str], read, dtype, known: dict) -> np.ndarray:
-    """read(token) for each token as an array; known caches read by text.
+def _q_columns(block: str, n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The columns i, j and coeff of a block of good Q lines, else None.
 
-    known is emptied when it outgrows PARSE_BLOCK entries, which bounds its memory like a block's.
+    np.loadtxt reads an ASCII block whole, taking any whitespace around the
+    four fields and blank lines anywhere. Left to the line-by-line reading,
+    which names the bad line, are a block with a non-ASCII character (numpy
+    2.4 crashes on one beyond the BMP in an integer field), a character of
+    _MISREAD, a blank block (on which loadtxt warns), and a block with any
+    line that is not "Q i j coeff" with 0 <= i < j < n_vars.
     """
-    try:
-        return np.fromiter(map(known.__getitem__, tokens), dtype, len(tokens))
-    except KeyError:
-        if len(known) > PARSE_BLOCK:
-            known.clear()
-        for t in dict.fromkeys(tokens):
-            if t not in known:
-                known[t] = read(t)
-        return np.fromiter(map(known.__getitem__, tokens), dtype, len(tokens))
-
-
-def _bare_q_columns(block: str, n_vars: int, known: tuple[dict, dict]) -> _Columns | None:
-    """The columns i, j and coeff of a block of good bare Q lines, else None.
-
-    A bare Q line starts with Q and is ended by "\n" alone. A block of them,
-    as export_qubo writes every block after its header region, is tokenized
-    whole, with no line list. Its n lines must give 4n tokens with "Q" at
-    positions 0, 4, 8, ... Every other token must read as a number, so none
-    is "Q", and no number starts with Q, so each line's first token is one
-    of those n "Q"s: the n lines start 4 tokens apart and each has exactly
-    four. A block that fails any check, a bad line included, is left to the
-    line-by-line reading, which names the bad line.
-
-    Numbers read as int() and float() read them, but each distinct text is
-    read once per parse: known holds the texts read so far, ints for the
-    indices and floats for the coefficients.
-    """
-    n = block.count("\n") + (not block.endswith("\n"))
-    if not block.startswith("Q") or block.count("\nQ") != n - 1 or any(c in block for c in _OTHER_BREAKS):
+    if not block.isascii() or not block.strip() or any(c in block for c in _MISREAD):
         return None
-    toks = block.split()
-    if not len(toks) == 4 * n == 4 * toks[::4].count("Q"):
-        return None
-    ints, floats = known
     try:
-        i = _column(toks[1::4], int, np.int64, ints)
-        j = _column(toks[2::4], int, np.int64, ints)
-        coeff = _column(toks[3::4], float, np.float64, floats)
-        if np.all((0 <= i) & (i < j) & (j < n_vars)):
-            return i, j, coeff
-    except (ValueError, OverflowError):
-        pass
+        rows = np.loadtxt(io.StringIO(block), dtype=_Q_LINE, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    i, j = rows["i"], rows["j"]
+    if np.all(rows["q"] == "Q") and np.all((0 <= i) & (i < j) & (j < n_vars)):
+        return i, j, rows["coeff"]
     return None
 
 
@@ -435,14 +412,11 @@ def parse_qubo(text: str) -> QuboModel:
     its first line that begins with Q: the comment and L lines before it,
     and from it to the end, the Q lines as export_qubo writes them. Each
     region is read in blocks of about PARSE_BLOCK characters cut at
-    newlines. A block of bare Q lines, each starting with Q and ended by
-    "\n" alone, as the export writes every block of its second region, is
-    tokenized whole (_bare_q_columns), converting each distinct index or
-    coefficient text once per parse with int and float. Every other block
-    is read one line at a time: indented or CRLF-ended text, blank lines,
-    and L or comment lines among the Q lines are correct there, only
-    slower. The Q coefficients go straight into the upper triangle of the
-    coupling matrix.
+    newlines. np.loadtxt reads a block of Q lines whole (_q_columns), with
+    any ASCII whitespace or blank lines among them; every other block is
+    read one line at a time, which also takes CRLF-ended text and L or
+    comment lines among the Q lines, only slower. The Q coefficients go straight into the
+    upper triangle of the coupling matrix.
     """
     body = text.lstrip()
     # the first line, ended wherever splitlines would end it
@@ -465,11 +439,10 @@ def parse_qubo(text: str) -> QuboModel:
     q_i: list[int] = []
     q_j: list[int] = []
     q_coeff: list[float] = []
-    q_parts: list[_Columns] = []
-    known = ({}, {})  # the index and coefficient texts read so far
+    q_parts = []
     q_start = body.find("\nQ", len(head)) + 1 or len(body)
     for block in chain(_blocks(body[len(head) : q_start]), _blocks(body[q_start:])):
-        if (columns := _bare_q_columns(block, n_vars, known)) is not None:
+        if (columns := _q_columns(block, n_vars)) is not None:
             q_parts.append(columns)
             continue
         for ln in map(str.strip, block.splitlines()):

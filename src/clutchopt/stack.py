@@ -26,15 +26,20 @@ DEFAULT_MAX_VARIATION = 0.1
 ShiftVector = tuple[int, ...]
 
 
-def _checked(values, ndim: int, name: str) -> np.ndarray:
-    """values as a read-only float64 copy with ndim non-empty axes and only finite entries."""
+def _real_array(values, name: str, copy: bool | None = True) -> np.ndarray:
+    """values as a float64 array, a copy unless copy is None and they are one already."""
     try:
         # the cast from a complex dtype would only warn, dropping the imaginary parts
         if (dtype := np.asarray(values).dtype).kind == "c":
             raise TypeError(f"got {dtype} values")
-        arr = np.array(values, dtype=np.float64)
+        return np.array(values, dtype=np.float64, copy=copy)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name} must be an array of real numbers: {exc}") from None
+
+
+def _checked(values, ndim: int, name: str) -> np.ndarray:
+    """values as a read-only float64 copy with ndim non-empty axes and only finite entries."""
+    arr = _real_array(values, name)
     if arr.ndim != ndim or 0 in arr.shape:
         raise InvalidInputError(f"{name} must be a non-empty {ndim}-D array")
     if not np.isfinite(arr).all():

@@ -61,6 +61,10 @@ class TestConfig:
             SolverSpec("warp-drive")
         with pytest.raises(ConfigError):
             SolverSpec("sa", {"warp": 1})
+        # a parameter name that is not a string is named too, alone or among strings
+        for params in ({1: 2}, {1: 2, "warp": 3}):
+            with pytest.raises(ConfigError, match="^exact does not take 1"):
+                SolverSpec("exact", params)
         # a size is two integers >= 1: a float or a bool is not, a numpy integer is
         for size in [(2.5, 4), (2, 4.0), (True, 4), (2, 0)]:
             with pytest.raises(ConfigError):

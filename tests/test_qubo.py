@@ -1,7 +1,10 @@
 import re
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from clutchopt.errors import InvalidInputError
 from clutchopt.qubo import InfeasibleSample
 from conftest import deviation_matrices, devs_with_shifts
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 EXAMPLE = co.DeviationMatrix(np.array([[-1.5, 0.5], [-0.5, 1.5]]))
 # a well-formed export of a gauge-fixed 2x2 stack with no coefficients
 TWO_VARS = "QUBO 2 0 1\n# gauge_fixed 1\n# disks 2 segments 2\n# varmap 0 -> 1,0\n# varmap 1 -> 1,1\n"
@@ -194,6 +198,16 @@ class TestEvaluate:
             co.evaluate_batch(model, [bits, bits])
         with pytest.raises(InvalidInputError, match="assignment entries must be 0 or 1"):
             co.decode_solution(bits, model)
+
+    def test_rejects_a_ragged_list(self):
+        model = co.build_qubo(EXAMPLE, 10.0, gauge_fixed=True)
+        ragged = [[0, 1], [1]]
+        with pytest.raises(InvalidInputError, match="^bits must be an array"):
+            co.evaluate(model, ragged)
+        with pytest.raises(InvalidInputError, match="^bits must be an array"):
+            co.evaluate_batch(model, ragged)
+        with pytest.raises(InvalidInputError, match="^bits must be an array"):
+            co.decode_solution(ragged, model)
 
     def test_accepts_bool_and_integer_bits(self):
         model = co.build_qubo(EXAMPLE, 10.0, gauge_fixed=True)
@@ -423,6 +437,23 @@ class TestExport:
         assert type(model.offset) is float and model.offset == float(offset)
         assert type(model.rho) is float and model.rho == float(rho)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "linear, upper, name",
+        [
+            (["a"], np.zeros((1, 1)), "linear"),
+            ([0.0], [[0.0], [0.0, 1.0]], "upper"),
+            # a complex dtype is refused before the cast to float64, which would warn and drop the imaginary parts
+            (np.zeros(1, dtype=complex), np.zeros((1, 1)), "linear"),
+            (np.zeros(1), np.array([[1j]]), "upper"),
+            ([0.0], [[0j]], "upper"),
+        ],
+        ids=["strings", "ragged", "complex-linear", "complex-upper", "complex-list"],
+    )
+    def test_model_rejects_values_that_are_no_real_array(self, linear, upper, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an array of real numbers"):
+            co.QuboModel(0.0, linear, upper, 1.0, False, 1, 1)
+
     def test_huge_disks_header_fails_before_any_layout(self):
         # a 1000 x 1000 layout would take about 88 MB of tuples
         text = TWO_VARS.replace("disks 2 segments 2", "disks 1000 segments 1000")
@@ -472,6 +503,9 @@ class TestExport:
             TWO_VARS.replace("1 -> 1,1", "1 => 1,1"),
             TWO_VARS + "Qx 0 1 2.0",
             TWO_VARS + "Q Q 1 2.0",
+            # a two-character field would drop the trailing NUL and keep "Q"
+            TWO_VARS + "Q\x00 0 1 2.0",
+            TWO_VARS + "Q\x00x 0 1 2.0",
             TWO_VARS + "QUBO 2 0 1",
             # an L index or a Q pair given twice
             TWO_VARS + "L 0 1.0\nL 0 2.0",
@@ -500,7 +534,7 @@ class TestExport:
 
     @pytest.mark.parametrize("block", [16, 256])
     def test_block_size_does_not_change_the_model(self, block, monkeypatch):
-        # small blocks cut the Q lines into many bare blocks and overflow the caches of read texts
+        # small blocks cut the Q lines into many blocks, each read whole, and CRLF text into many read line by line
         model, lines = self._production_lines()
         monkeypatch.setattr(co.qubo, "PARSE_BLOCK", block)
         self._assert_models_equal(co.parse_qubo("\n".join(lines) + "\n"), model)
@@ -522,6 +556,56 @@ class TestExport:
             lines[p] = f"Q {i} {j} {coeff_spellings[n % 3](c)}"
         assert sum(ln != canon for ln, canon in zip(lines, co.export_qubo(model).splitlines())) > 300
         self._assert_models_equal(co.parse_qubo("\n".join(lines) + "\n"), model)
+
+    # signs, leading zeros, underscores, non-ASCII digits, int64 edges, other bases, decimal and exponent
+    # forms, subnormals and their rounding, overflow to inf, and nan and inf forms, read or not
+    NUMERALS = [
+        "7", "+7", "-7", "07", "0007", "+07", "-0", "+0", "00", "1_0", "1__0", "_7", "7_",
+        "\u0667", "\u096d", "\uff17", "\U0001d7d5", "1\u0660", "9223372036854775807", "9223372036854775808",
+        "-9223372036854775808", "-9223372036854775809", "18446744073709551616", "9" * 30, "0x7", "0X7",
+        "0o7", "0b1", "7.", "7.0", "7e0", "1e1", "++7", "+-7", "7-", "7L", "seven",
+        "1.5", "+1.5", "-1.5", ".5", "-.5", "5.", ".", "1e3", "1E3", "1e+3", "1e-3", "1e", "e3", "1e1_0",
+        "1_000.5", "1.5_0", "1._5", "\u0661.\u0665", "1.5.5", "1,5", "1.5f", "1d3", "0.1",
+        "0.30000000000000004", "2.2250738585072011e-308", "2.2250738585072014e-308", "4.9e-324",
+        "2.4703282292062328e-324", "2.4703282292062327e-324", "1e-400", "1.7976931348623157e308",
+        "1.7976931348623159e308", "1e309", "-1e309", "0." + "0" * 320 + "49406564584124654", "-0.0",
+        "nan", "NaN", "-nan", "+nan", "inf", "-Inf", "+infinity", "INFINITY", "infinit", "nan(123)",
+        "0x1p3", "0x1.8p1",
+    ]
+
+    @pytest.mark.parametrize("field", [1, 2, 3], ids=["i", "j", "coeff"])
+    def test_the_bulk_reader_reads_numerals_as_int_and_float_read_them(self, field):
+        # np.loadtxt may leave a numeral to the line-by-line reading, but what it reads must be
+        # what int() or float() reads, bit for bit; either way the model is Python's reading
+        n = 16
+        empty = co.export_qubo(co.QuboModel(0.0, np.zeros(n), np.zeros((n, n)), 1.0, False, 1, n))
+        head = "".join(ln for ln in empty.splitlines(keepends=True) if not ln.startswith("Q "))
+        bulk = set()
+        for numeral in self.NUMERALS:
+            parts = ["Q", "0", "15", "1.5"]
+            parts[field] = numeral
+            line = " ".join(parts)
+            try:
+                i, j, coeff = int(parts[1]), int(parts[2]), float(parts[3])
+                good = 0 <= i < j < n
+            except ValueError:
+                good = False
+            if (columns := co.qubo._q_columns(line + "\n", n)) is not None:
+                bulk.add(numeral)
+                assert good and (columns[0].item(), columns[1].item()) == (i, j), line
+                assert columns[2].item().hex() == coeff.hex(), line
+            if not good:
+                with pytest.raises(InvalidInputError, match=f"^bad line: {re.escape(repr(line))}$"):
+                    co.parse_qubo(head + line + "\n")
+            elif not math.isfinite(coeff):
+                with pytest.raises(InvalidInputError, match="every number finite"):
+                    co.parse_qubo(head + line + "\n")
+            else:
+                upper = np.zeros((n, n))
+                upper[i, j] = coeff
+                want = co.QuboModel(0.0, np.zeros(n), upper, 1.0, False, 1, n)
+                assert co.parse_qubo(head + line + "\n").coupling.tobytes() == want.coupling.tobytes(), line
+        assert {"7", "+7", "07"} <= bulk
 
     @pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
     def test_every_line_break_of_splitlines_ends_a_q_line(self, brk):
@@ -547,6 +631,8 @@ class TestExport:
             with pytest.raises(InvalidInputError, match="bad line"):
                 co.parse_qubo("\n".join(bad) + "\n")
 
+    # a header region of one blank line is read line by line, with no warning from np.loadtxt
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("block", [None, 256])
     def test_q_lines_before_the_comment_and_l_lines(self, block, monkeypatch):
         # the Q region then starts right after the header and holds every other line too
@@ -556,6 +642,33 @@ class TestExport:
         q = [ln for ln in lines[1:] if ln.startswith("Q ")]
         rest = [ln for ln in lines[1:] if not ln.startswith("Q ")]
         self._assert_models_equal(co.parse_qubo("\n".join([lines[0], *q, *rest]) + "\n"), model)
+
+    @pytest.mark.parametrize("sep", ["\t", "\x1f", "\xa0", "\u3000"], ids=["tab", "x1f", "xa0", "u3000"])
+    def test_any_whitespace_between_the_fields(self, sep):
+        # the header starts with "QUBO " literally
+        model, lines = self._production_lines()
+        text = lines[0] + "\n" + "\n".join(lines[1:]).replace(" ", sep) + "\n"
+        self._assert_models_equal(co.parse_qubo(text), model)
+
+    def test_a_comment_among_the_q_lines_is_ignored(self):
+        # it splits into four fields like a Q line
+        model, lines = self._production_lines()
+        at = len(lines) - 1000
+        self._assert_models_equal(co.parse_qubo("\n".join(lines[:at] + ["# 1 2 3"] + lines[at:]) + "\n"), model)
+
+    def test_a_character_beyond_the_bmp_is_a_bad_line(self):
+        # np.loadtxt crashed the interpreter on one in an integer field, so the parses run in a new one
+        lines = ["Q \U0009c6ea0 1 2.0", "Q 0 \U0009c6ea1 2.0", "Q 0 1 \U0009c6ea2.0"]
+        code = (
+            f"import sys\nsys.path.insert(0, {str(SRC)!r})\nimport clutchopt as co\n"
+            f"for line in {lines!r}:\n"
+            "    try:\n"
+            f"        co.parse_qubo({TWO_VARS!r} + line + '\\n')\n"
+            "    except co.InvalidInputError as exc:\n"
+            "        print(ascii(str(exc)))\n"
+        )
+        done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+        assert done.stdout.splitlines() == [ascii(f"bad line: {line!r}") for line in lines], done.stderr
 
     @pytest.mark.parametrize("block, gap", [(None, 1), (64, 40)])
     def test_l_line_and_indented_q_line_inside_the_q_region(self, block, gap, monkeypatch):
