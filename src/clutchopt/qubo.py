@@ -385,7 +385,7 @@ def _q_columns(block: str, n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     _MISREAD, a blank block (on which loadtxt warns), and a block with any
     line that is not "Q i j coeff" with 0 <= i < j < n_vars.
     """
-    if not block.isascii() or not block.strip() or any(c in block for c in _MISREAD):
+    if not block.isascii() or block.isspace() or any(c in block for c in _MISREAD):
         return None
     try:
         rows = np.loadtxt(io.StringIO(block), dtype=_Q_LINE, comments=None, ndmin=1)

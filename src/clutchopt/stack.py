@@ -29,8 +29,8 @@ ShiftVector = tuple[int, ...]
 def _real_array(values, name: str, copy: bool | None = True) -> np.ndarray:
     """values as a float64 array, a copy unless copy is None and they are one already."""
     try:
-        # the cast from a complex dtype would only warn, dropping the imaginary parts
-        if (dtype := np.asarray(values).dtype).kind == "c":
+        # the cast would drop a complex dtype's imaginary parts with only a warning, and would read text as numbers
+        if (dtype := np.asarray(values).dtype).kind in "cSU":
             raise TypeError(f"got {dtype} values")
         return np.array(values, dtype=np.float64, copy=copy)
     except (TypeError, ValueError) as exc:

@@ -442,13 +442,16 @@ class TestExport:
         "linear, upper, name",
         [
             (["a"], np.zeros((1, 1)), "linear"),
+            # text is refused even where float() reads it
+            (["1.5"], [["0"]], "linear"),
+            ([0.0], [["0"]], "upper"),
             ([0.0], [[0.0], [0.0, 1.0]], "upper"),
             # a complex dtype is refused before the cast to float64, which would warn and drop the imaginary parts
             (np.zeros(1, dtype=complex), np.zeros((1, 1)), "linear"),
             (np.zeros(1), np.array([[1j]]), "upper"),
             ([0.0], [[0j]], "upper"),
         ],
-        ids=["strings", "ragged", "complex-linear", "complex-upper", "complex-list"],
+        ids=["strings", "numeric-text-linear", "numeric-text-upper", "ragged", "complex-linear", "complex-upper", "complex-list"],
     )
     def test_model_rejects_values_that_are_no_real_array(self, linear, upper, name):
         with pytest.raises(InvalidInputError, match=f"^{name} must be an array of real numbers"):

@@ -77,6 +77,9 @@ class TestDeviations:
     "build, name",
     [
         (lambda: co.DiskStack([["a", "b"]]), "heights"),
+        # text is refused even where float() reads it
+        (lambda: co.DiskStack([["1", "2"], ["3", "4.5"]]), "heights"),
+        (lambda: co.DeviationMatrix(np.array([["-1", "1"]])), "devs"),
         (lambda: co.DiskStack([[1.0, 2.0], [1.0]]), "heights"),
         (lambda: co.DeviationMatrix({}), "devs"),
         (lambda: co.stddev([1 + 1j, 2]), "profile"),
@@ -86,7 +89,7 @@ class TestDeviations:
         (lambda: co.DiskStack([np.array([1 + 0j, 2], dtype=np.complex64)]), "heights"),
         (lambda: co.DeviationMatrix(np.array([[1j, -1j]])), "devs"),
     ],
-    ids=["strings", "ragged", "dict", "complex", "complex-array", "complex-reals", "complex-rows", "complex-devs"],
+    ids=["strings", "numeric-text", "numeric-text-devs", "ragged", "dict", "complex", "complex-array", "complex-reals", "complex-rows", "complex-devs"],
 )
 def test_values_that_are_no_real_array_raise_invalid_input(build, name):
     with warnings.catch_warnings():
