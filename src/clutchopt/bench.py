@@ -301,11 +301,12 @@ def parse_config(text: str) -> BenchmarkConfig:
     Keys: "size ND NS" (repeatable), "instances N", "seed N", "a0 X",
     "delta X", "out PATH", and "solver NAME [key=value ...]" (repeatable).
     Blank lines and # comments are ignored; a line with more or fewer tokens
-    than its key takes is an error.
+    than its key takes is an error, and so is a second line of a key that is
+    not repeatable.
     """
     sizes: list[tuple[int, int]] = []
     solvers: list[SolverSpec] = []
-    scalars: dict = {"instances_per_size": 1}
+    scalars: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -318,6 +319,8 @@ def parse_config(text: str) -> BenchmarkConfig:
                 sizes.append((int(nd), int(ns)))
             elif key in _SCALAR_KEYS:
                 name, kind = _SCALAR_KEYS[key]
+                if name in scalars:
+                    raise ConfigError(f"{key} is given twice")
                 (value,) = parts[1:]
                 scalars[name] = kind(value)
             elif key == "solver":
@@ -335,6 +338,7 @@ def parse_config(text: str) -> BenchmarkConfig:
             raise ConfigError(f"line {lineno}: {exc}") from None
         except (IndexError, ValueError):
             raise ConfigError(f"line {lineno}: cannot parse {raw!r}") from None
+    scalars.setdefault("instances_per_size", 1)
     return BenchmarkConfig(sizes=tuple(sizes), solvers=tuple(solvers), **scalars)
 
 

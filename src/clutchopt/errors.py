@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the checks that raise them."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,17 @@ class ProblemTooLargeError(RuntimeError):
 
 class ConfigError(ValueError):
     """Raised for malformed benchmark configurations."""
+
+
+def as_float(value) -> float:
+    """float(value), reading a number beyond float's range as +-inf, as float() reads the text 1e400.
+
+    float() raises OverflowError for such a number, an int or a Fraction; its TypeError and ValueError pass.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def check_integer(name: str, value, low: int = 1) -> None:

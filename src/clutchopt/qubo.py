@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, check_integer, read_text
+from .errors import InvalidInputError, as_float, check_integer, read_text
 from .stack import DeviationMatrix, ShiftVector, _as_shift_vector, _real_array, rotations
 
 # cross-disk couplings smaller than this fraction of the largest coefficient
@@ -114,7 +114,7 @@ class QuboModel:
             raise InvalidInputError("upper must be strictly upper-triangular")
         coupling = upper + upper.T
         try:
-            offset, rho = float(self.offset), float(self.rho)
+            offset, rho = as_float(self.offset), as_float(self.rho)
         except (TypeError, ValueError):
             raise InvalidInputError(f"offset and rho must be numbers, got {self.offset!r} and {self.rho!r}") from None
         if not (rho >= 0 and all(np.isfinite(a).all() for a in (offset, rho, lin, coupling))):
@@ -156,8 +156,8 @@ class InfeasibleSample:
 def check_penalty(rho) -> float:
     """rho as a float, which float() must read as finite and > 0."""
     try:
-        if 0 < float(rho) < np.inf:  # false for NaN
-            return float(rho)
+        if 0 < (value := as_float(rho)) < np.inf:  # false for NaN
+            return value
     except (TypeError, ValueError):
         pass
     raise InvalidInputError(f"rho must be finite and > 0, got {rho!r}")

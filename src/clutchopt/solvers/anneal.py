@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError, check_integer
+from ..errors import InvalidInputError, as_float, check_integer
 from ..qubo import InfeasibleSample, QuboModel, _objective_scale, decode_solution, evaluate_batch, local_fields
 from ..rng import stream_rng
 from ..stack import DeviationMatrix, canonicalize_shifts
@@ -68,7 +68,7 @@ class AnnealSchedule:
         check_integer("sweeps", self.sweeps)
         # a bool is no beta, as check_band and check_integer reject it elsewhere
         real = all(isinstance(b, numbers.Real) and not isinstance(b, bool) for b in (self.beta_initial, self.beta_final))
-        if not (real and 0 < self.beta_initial <= self.beta_final and math.isfinite(self.beta_final)):
+        if not (real and 0 < self.beta_initial <= self.beta_final and math.isfinite(as_float(self.beta_final))):
             raise InvalidInputError("need real numbers 0 < beta_initial <= beta_final < inf")
 
     def betas(self) -> np.ndarray:

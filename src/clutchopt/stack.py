@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidInputError, check_integer, read_text
+from .errors import InvalidInputError, as_float, check_integer, read_text
 from .rng import stream_rng
 
 DEFAULT_TARGET_THICKNESS = 2.0
@@ -48,13 +48,21 @@ def _checked(values, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
-def check_band(target_thickness, max_variation) -> None:
-    """Both are finite real numbers, a bool or a str is not, and max_variation >= 0."""
+def check_band(target_thickness, max_variation) -> tuple[float, float]:
+    """The band's edges, target_thickness -/+ max_variation / 2, which must be finite.
+
+    Both are real numbers, a bool or a str is not, finite, and max_variation >= 0.
+    """
     for name, value in (("target_thickness", target_thickness), ("max_variation", max_variation)):
-        if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(as_float(value)):
             raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
     if max_variation < 0:
         raise InvalidInputError(f"max_variation must be >= 0, got {max_variation!r}")
+    low = target_thickness - max_variation / 2.0
+    high = target_thickness + max_variation / 2.0
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise InvalidInputError("the thickness band must be finite")
+    return low, high
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,9 +187,9 @@ def range_metric(profile) -> float:
 
 
 def ln_norm(profile, n) -> float:
-    """Standard L_n norm of the profile; n = math.inf gives max absolute value."""
+    """Standard L_n norm of the profile; n = math.inf, or an int beyond float's range, gives max absolute value."""
     d = _checked(profile, 1, "profile")
-    if n == math.inf:
+    if isinstance(n, numbers.Real) and as_float(n) == math.inf:
         return float(np.abs(d).max())
     check_integer("norm order", n)
     if n == 1:
@@ -231,12 +239,8 @@ def generate_instance(
     """
     check_integer("n_disks", n_disks)
     check_integer("n_segments", n_segments)
-    check_band(target_thickness, max_variation)
+    low, high = check_band(target_thickness, max_variation)
     rng = stream_rng("instance", seed)
-    low = target_thickness - max_variation / 2.0
-    high = target_thickness + max_variation / 2.0
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise InvalidInputError("the thickness band must be finite")
     heights = rng.uniform(low, high, size=(n_disks, n_segments))
     return DiskStack(heights, target_thickness, max_variation, seed)
 

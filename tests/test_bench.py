@@ -92,7 +92,16 @@ class TestConfig:
             tiny_config(solvers=solvers)
 
     @pytest.mark.parametrize(
-        "lines", ["a0 nan\ndelta nan\n", "a0 nan\n", "delta nan\n", "delta inf\n", "a0 -inf\n"]
+        "lines",
+        [
+            "a0 nan\ndelta nan\n",
+            "a0 nan\n",
+            "delta nan\n",
+            "delta inf\n",
+            "a0 -inf\n",
+            # each finite, but the band's upper edge a0 + delta / 2 overflows
+            "a0 1.7e308\ndelta 1e308\n",
+        ],
     )
     def test_parse_rejects_non_finite_band(self, lines):
         with pytest.raises(ConfigError):
@@ -177,6 +186,17 @@ class TestConfig:
     def test_rejects_out_that_would_not_round_trip(self, out):
         with pytest.raises(ConfigError, match="out must be"):
             tiny_config(out=out)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("instances 2", "instances 3"), ("seed 1", "seed 2"), ("a0 2.0", "a0 2.0"), ("delta 0.1", "delta 0.2"),
+         ("out a.csv", "out b.csv")],
+    )
+    def test_parse_rejects_a_key_given_twice(self, first, second):
+        # the last line would win silently, so seed 1 then seed 2 would run seed 2
+        key = first.split()[0]
+        with pytest.raises(ConfigError, match=f"^line 4: {key} is given twice$"):
+            parse_config(f"size 2 2\n{first}\nsolver exact\n{second}\n")
 
     @pytest.mark.parametrize("seed", ["-1", "-20240817"])
     def test_parse_rejects_negative_seed(self, seed):
@@ -358,6 +378,8 @@ class TestEmitParse:
     def test_unknown_format(self):
         with pytest.raises(ConfigError):
             emit_results([], "xml")
+        with pytest.raises(ConfigError, match="^unknown output format 'xml'$"):
+            parse_results(emit_results([], "csv"), "xml")
 
 
 class TestDefaultConfig:

@@ -299,6 +299,9 @@ class TestBench:
             ("seed 4", "seed -1", "seed must be >= 0"),
             ("solver exact", "solver exact cap=0", "cap must be >= 1"),
             ("size 3 3", "size 3 3\nsize 2 3", "a size is listed more than once: 2 3, 3 3, 2 3"),
+            # a band whose edges overflow, though a0 and delta are each finite
+            ("seed 4", "seed 4\na0 1.7e308\ndelta 1e308", "the thickness band must be finite"),
+            ("seed 4", "seed 4\nseed 5", "line 6: seed is given twice"),
         ],
     )
     def test_bench_bad_config_fails_before_solving(self, tmp_path, capsys, line, bad, reason):

@@ -408,6 +408,12 @@ class TestExport:
         assert model.n_vars == 4
         assert model.var_map == ((0, 0), (0, 1), (1, 0), (1, 1))
         assert dict(model.quadratic) == {(0, 1): 0.0, (2, 3): 0.0}
+        # the view holds only those keys: a cross-disk zero, a lower or an out-of-range pair is none
+        assert len(model.quadratic) == 2
+        for key in [(0, 2), (1, 0), (0, 4), (-1, 1)]:
+            assert key not in model.quadratic
+            with pytest.raises(KeyError):
+                model.quadratic[key]
 
     @pytest.mark.parametrize(
         "linear, upper, nd, ns",
@@ -425,6 +431,13 @@ class TestExport:
     def test_model_rejects_inputs_off_the_layout(self, linear, upper, nd, ns):
         with pytest.raises(InvalidInputError):
             co.QuboModel(0.0, linear, upper, 1.0, True, nd, ns)
+
+    @pytest.mark.parametrize("cell", [(1, 0), (2, 2)], ids=["below", "diagonal"])
+    def test_model_rejects_upper_off_the_strict_upper_triangle(self, cell):
+        upper = np.zeros((4, 4))
+        upper[cell] = 1.0
+        with pytest.raises(InvalidInputError, match="^upper must be strictly upper-triangular$"):
+            co.QuboModel(0.0, np.zeros(4), upper, 1.0, True, 3, 2)
 
     @pytest.mark.parametrize("offset, rho", [("1", None), (None, 1.0), (0.0, "abc"), ([1.0, 2.0], 1.0), (0.0, {})])
     def test_model_rejects_an_offset_or_rho_float_cannot_read(self, offset, rho):
@@ -468,6 +481,10 @@ class TestExport:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_each_variable_needs_its_varmap_line(self):
+        with pytest.raises(InvalidInputError, match="^1 varmap lines for 2 variables$"):
+            co.parse_qubo(TWO_VARS.replace("# varmap 1 -> 1,1\n", ""))
 
     def test_file_round_trip(self, tmp_path):
         model = co.build_qubo(EXAMPLE, 10.0, gauge_fixed=True)

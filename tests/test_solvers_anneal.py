@@ -114,6 +114,10 @@ class TestSchedule:
         assert beta_final == pytest.approx(math.log(100) / 3.0)
         assert 0 < beta_initial <= beta_final
 
+    def test_default_range_of_an_all_zero_model_is_flat(self):
+        model = co.QuboModel(0.0, np.zeros(4), np.zeros((4, 4)), 0.0, False, 2, 2)
+        assert default_beta_range(model) == (1.0, 1.0)
+
     def test_default_range_degenerate_model(self):
         devs = co.DeviationMatrix(np.zeros((2, 2)))
         model = co.build_qubo(devs, 1.5, gauge_fixed=True)

@@ -501,6 +501,16 @@ class TestSplitSearch:
             list(parallel.fork_map(fn, [0, 1, 2]))
         assert no_children_left()
 
+    def test_fork_map_child_that_exits_without_a_result_raises(self):
+        def fn(part):
+            if part:
+                os._exit(0)  # in the child: no result, no exception, an empty pipe
+            return part
+
+        with pytest.raises(ChildProcessError, match="exited without a result"):
+            list(parallel.fork_map(fn, [0, 1]))
+        assert no_children_left()
+
     def test_fork_map_closed_early_ends_its_children(self):
         results = parallel.fork_map(lambda part: part, [0, 1, 2])
         assert next(results) == 0

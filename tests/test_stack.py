@@ -173,6 +173,11 @@ class TestMetrics:
     def test_stddev_single_segment(self):
         assert co.stddev(np.array([-3.5])) == 3.5
 
+    @pytest.mark.parametrize("profile", [[], [[1.0]], np.zeros((2, 0))], ids=["empty", "2-D", "no-columns"])
+    def test_stddev_needs_a_non_empty_1d_profile(self, profile):
+        with pytest.raises(InvalidInputError, match="^profile must be a non-empty 1-D array$"):
+            co.stddev(profile)
+
     def test_range_hand_examples(self):
         assert co.range_metric(np.array([-2.0, 2.0])) == 4.0
         assert co.range_metric(np.zeros(2)) == 0.0
@@ -183,6 +188,9 @@ class TestMetrics:
         assert co.ln_norm(profile, 2) == math.sqrt(8.0)
         assert co.ln_norm(profile, math.inf) == 2.0
         assert co.ln_norm(np.zeros(2), 3) == 0.0
+        # the L1 norm is the plain sum of magnitudes, bit for bit
+        odd = np.array([0.1, 0.2, -0.3])
+        assert co.ln_norm(odd, 1) == float(np.abs(odd).sum())
 
     @pytest.mark.parametrize("scale", [1e-300, 3e-200, 1e-160, 1e160, 3e200, 1e300])
     def test_stddev_and_l2_at_extreme_magnitudes(self, scale):
@@ -344,10 +352,9 @@ class TestGenerateInstance:
     def test_rejects_non_finite_band(self, a0, delta):
         with pytest.raises(InvalidInputError):
             co.generate_instance(2, 2, a0, delta)
-        # the stack checks the same rule, all but the band's overflow, which only generation meets
-        if (a0, delta) != (1.7e308, 1e308):
-            with pytest.raises(InvalidInputError, match="must be a finite number|must be >= 0"):
-                co.DiskStack(np.full((2, 2), 2.0), a0, delta)
+        # the stack checks the same rule, the band's overflow included
+        with pytest.raises(InvalidInputError, match="must be a finite number|must be >= 0|band must be finite"):
+            co.DiskStack(np.full((2, 2), 2.0), a0, delta)
 
     def test_histogram_bounds_and_mean(self):
         # 10^5 samples: hard bounds plus mean within 3 standard errors
@@ -415,7 +422,7 @@ class TestInstanceFile:
             co.DiskStack(np.zeros((2, 2)), seed=1.5)
         assert co.stack.parse_instance("2 2\n2.0 0.1 7\n1 2\n3 4").seed == 7
 
-    @pytest.mark.parametrize("header", ["nan nan -", "2.0 nan -", "inf 0.1 -", "2.0 inf 0"])
+    @pytest.mark.parametrize("header", ["nan nan -", "2.0 nan -", "inf 0.1 -", "2.0 inf 0", "1.7e308 1e308 -"])
     def test_parse_rejects_non_finite_header(self, header):
         with pytest.raises(InvalidInputError):
             co.stack.parse_instance(f"2 2\n{header}\n1 2\n3 4")
